@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sunder/internal/analysis"
+	"sunder/internal/automata"
 	"sunder/internal/dfa"
 	"sunder/internal/meta"
 	"sunder/internal/sched"
@@ -108,19 +109,21 @@ func (e *Engine) dfaRunnerFor() *dfa.Runner {
 
 // scanDFA is the sequential lazy-DFA scan on the engine's persistent
 // runner (its state cache stays hot across scans).
-func (e *Engine) scanDFA(input []byte) (*ScanResult, error) {
-	return e.scanDFAWith(e.dfaRunnerFor(), input), nil
+func (e *Engine) scanDFA(input []byte) *ScanResult {
+	return e.scanDFAWith(e.dfaRunnerFor(), input)
 }
 
 // scanDFAFresh runs on a throwaway runner; the parallel entry points use
 // it so they never touch sequential-path state.
-func (e *Engine) scanDFAFresh(input []byte) (*ScanResult, error) {
-	return e.scanDFAWith(dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig()), input), nil
+func (e *Engine) scanDFAFresh(input []byte) *ScanResult {
+	return e.scanDFAWith(dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig()), input)
 }
 
 // scanDFAWith executes input cycle by cycle on the lazy DFA, reproducing
-// the device's match stream and Reports/ReportCycles accounting exactly
-// (per-cycle deduplication by (offset, origin), phantom pad-tail filter).
+// the device's Reports/ReportCycles accounting exactly: each cycle's
+// emission row is already deduplicated by (offset, origin), and reports
+// ending in the pad tail still count but are not matches. Matches come out
+// in ascending (Position, Code) order whatever the runner's cache history.
 // KernelCycles equals the device's padded cycle count; StallCycles,
 // Flushes and the PerPU breakdown are artifacts of the simulated report
 // region and are reported as zero — the same documented divergence as
@@ -128,15 +131,13 @@ func (e *Engine) scanDFAFresh(input []byte) (*ScanResult, error) {
 func (e *Engine) scanDFAWith(r *dfa.Runner, input []byte) *ScanResult {
 	r.Reset()
 	sb := e.dfaPlan.StepBytes()
-	rate := int64(e.nibble.Rate)
-	su := int64(e.nibble.SymbolUnits)
-	inputUnits := int64(len(input)) * su
+	n := int64(len(input))
 	cycles := (len(input) + sb - 1) / sb
 	out := &ScanResult{PerPU: make([]PUStats, e.proto.NumPUs())}
 	for i := range out.PerPU {
 		out.PerPU[i].PU = i
 	}
-	seen := make(map[streamKey]bool)
+	var ms matchChunks
 	for c := 0; c < cycles; c++ {
 		start := c * sb
 		end := start + sb
@@ -145,38 +146,79 @@ func (e *Engine) scanDFAWith(r *dfa.Runner, input []byte) *ScanResult {
 			pad = end - len(input)
 			end = len(input)
 		}
-		ids := r.Step(input[start:end], pad)
-		if len(ids) == 0 {
+		row := r.Step(input[start:end], pad)
+		if len(row) == 0 {
 			continue
 		}
-		clear(seen)
-		nrep := int64(0)
-		for _, id := range ids {
-			for _, rep := range e.nibble.States[id].Reports {
-				k := streamKey{offset: rep.Offset, origin: rep.Origin}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				nrep++
-				unit := int64(c)*rate + int64(rep.Offset)
-				if unit >= inputUnits {
-					// Phantom: the report "ends" in the pad tail. It still
-					// counts in Reports (the device writes the entry) but
-					// is not a match.
-					continue
-				}
-				out.Matches = append(out.Matches, Match{
-					Position: unit / su,
-					Code:     rep.Code,
-				})
-			}
-		}
-		out.Stats.Reports += nrep
+		out.Stats.Reports += int64(len(row))
 		out.Stats.ReportCycles++
+		if pad > 0 {
+			// Phantoms: reports "ending" in the pad tail still count in
+			// Reports (the device writes the entry) but are not matches.
+			// Rows ascend by position, so they are the row's suffix.
+			keep := 0
+			for keep < len(row) && int64(start)+dfa.ReportByte(row[keep]) < n {
+				keep++
+			}
+			row = row[:keep]
+		}
+		ms.addRow(int64(start), row)
 	}
+	out.Matches = ms.flatten()
 	out.Stats.KernelCycles = int64(cycles)
 	return out
+}
+
+// matchChunks collects matches into doubling chunks, so a scan with
+// millions of matches never re-copies a growing slice; flatten then copies
+// them once into an exactly sized slice. Allocations grow with the log of
+// the match count, and nothing outlives the call that owns the collector.
+type matchChunks struct {
+	// full holds the filled chunks; 40 doublings from 256 matches exceed
+	// any address space, so it never grows.
+	full  [40][]Match
+	nfull int
+	cur   []Match
+	n     int
+}
+
+// addRow appends the matches of one emission row whose cycle starts at
+// input byte start.
+func (b *matchChunks) addRow(start int64, row []automata.Report) {
+	if cap(b.cur)-len(b.cur) < len(row) {
+		b.grow(len(row))
+	}
+	i := len(b.cur)
+	b.cur = b.cur[:i+len(row)]
+	dst := b.cur[i:]
+	for j, rep := range row {
+		dst[j] = Match{Position: start + dfa.ReportByte(rep), Code: rep.Code}
+	}
+}
+
+// grow retires the current chunk and starts one with room for at least
+// need more matches.
+func (b *matchChunks) grow(need int) {
+	size := 256
+	if c := cap(b.cur); c > 0 {
+		b.full[b.nfull] = b.cur
+		b.nfull++
+		b.n += len(b.cur)
+		size = 2 * c
+	}
+	b.cur = make([]Match, 0, max(size, need))
+}
+
+// flatten returns every collected match in order, nil when there are none.
+func (b *matchChunks) flatten() []Match {
+	if b.n+len(b.cur) == 0 {
+		return nil
+	}
+	out := make([]Match, 0, b.n+len(b.cur))
+	for _, c := range b.full[:b.nfull] {
+		out = append(out, c...)
+	}
+	return append(out, b.cur...)
 }
 
 // DFAStats reports the lazy-DFA backend's cache behaviour on this engine's

@@ -12,6 +12,7 @@ package sunder
 import (
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"sunder/internal/core"
@@ -481,6 +482,35 @@ func BenchmarkEngineScanParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkScanDFADenseReports is Scan on the lazy-DFA backend over a
+// report-dense input (Snort, about 1.8M matches per MB): the cost is
+// report emission and match assembly, not DFA stepping. MUST NOT REGRESS —
+// it guards the precomputed per-state emission rows and the one-copy match
+// assembly of scanDFAWith.
+func BenchmarkScanDFADenseReports(b *testing.B) {
+	w := workload.MustGet("Snort", 0.02, 1<<18)
+	opts := DefaultOptions()
+	opts.Backend = "auto"
+	eng, err := CompileAutomaton(w.Automaton, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !strings.HasPrefix(eng.Info().Backend, "dfa") {
+		b.Fatalf("backend %q, want the lazy DFA", eng.Info().Backend)
+	}
+	if _, err := eng.Scan(w.Input); err != nil { // warm the DFA cache
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(w.Input)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Scan(w.Input); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

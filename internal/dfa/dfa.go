@@ -26,10 +26,18 @@
 // the NFA tables instead: cycle 0 (start-of-data injection is
 // time-dependent) and any cycle containing pad units (pad semantics depend
 // on where the input ends). Everything between is cached.
+//
+// Each cached state also carries its emission row: the set's reports,
+// deduplicated by (Offset, Origin) and sorted into row order (see Step).
+// Report emission on a cache hit is therefore a slice hand-off, and the
+// emitted order is a function of the reports alone, never of which bytes
+// first built the state.
 package dfa
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"sunder/internal/automata"
 	"sunder/internal/bitvec"
@@ -240,13 +248,15 @@ type Stats struct {
 // husks (set and cells freed) so their IDs never get reused: a stale cell
 // in a surviving row detects the eviction via the dead flag and re-misses.
 type dstate struct {
-	set     *bitvec.Vector
-	hash    uint64
-	cells   []int32
-	reports []automata.StateID
-	prev    int32
-	next    int32
-	dead    bool
+	set   *bitvec.Vector
+	hash  uint64
+	cells []int32
+	// row is the state's emission row, exact-size (nil when the set has
+	// no reporting member).
+	row  []automata.Report
+	prev int32
+	next int32
+	dead bool
 }
 
 // Runner executes one input stream at a time against a Plan, memoizing
@@ -269,10 +279,12 @@ type Runner struct {
 	// cur is the cached state the run sits in, or -1 when the run is in
 	// direct-NFA mode (cycle 0, pad cycles, or after fallback); active
 	// then holds the raw set.
-	cur      int32
-	active   *bitvec.Vector
-	enabled  *bitvec.Vector
-	scratch  []automata.StateID
+	cur     int32
+	active  *bitvec.Vector
+	enabled *bitvec.Vector
+	// scratch holds the emission row under construction: interned
+	// states copy it out, directly-stepped cycles return it.
+	scratch  []automata.Report
 	cycle    int64
 	fellBack bool
 
@@ -325,11 +337,15 @@ func (r *Runner) Reset() {
 
 // Step consumes one cycle: the next StepBytes() input bytes, of which the
 // last pad positions are past the end of the input (the final cycle of an
-// odd-length input). It returns the active reporting states of the cycle
-// in ascending ID order. The slice is owned by the runner — read it before
-// the next Step and do not mutate or retain it (cached states hand out
-// their long-lived report rows).
-func (r *Runner) Step(data []byte, pad int) []automata.StateID {
+// odd-length input). It returns the cycle's emission row: the reports of
+// the cycle's active reporting states, deduplicated by (Offset, Origin) —
+// the device's per-cycle semantics — and sorted by (Offset/SymbolUnits,
+// Code, Offset, Origin). Projected to matches that is ascending (position,
+// code), and it does not depend on the runner's cache history: warm and
+// fresh runners return identical rows for identical input. The slice is
+// owned by the runner — read it before the next Step and do not mutate or
+// retain it (cached states hand out their long-lived rows).
+func (r *Runner) Step(data []byte, pad int) []automata.Report {
 	first := r.cycle == 0
 	r.cycle++
 	if first || pad > 0 || r.fellBack || r.cur < 0 {
@@ -349,12 +365,12 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 			// (its outgoing transitions are time-invariant).
 			if id := r.intern(r.active); id >= 0 {
 				r.cur = id
-				return r.states[id].reports
+				return r.states[id].row
 			}
 		} else {
 			r.cur = -1
 		}
-		return r.listReports(r.active)
+		return r.buildRow(r.active)
 	}
 
 	curID := r.cur
@@ -367,7 +383,7 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 		r.stats.Hits++
 		r.cur = next
 		r.touch(next)
-		return r.states[next].reports
+		return r.states[next].row
 	}
 	r.stats.Misses++
 	r.nfaStep(r.enabled, st.set, data, 0, false)
@@ -376,14 +392,14 @@ func (r *Runner) Step(data []byte, pad int) []automata.StateID {
 		// Blowup fallback: continue the run on the raw set, no restart.
 		r.active.CopyFrom(r.enabled)
 		r.cur = -1
-		return r.listReports(r.active)
+		return r.buildRow(r.active)
 	}
 	// intern may have grown the states slice or evicted rows; re-resolve
 	// the origin row before linking the cell. The origin itself is safe
 	// from eviction: it was most-recently-used before this step.
 	r.states[curID].cells[idx] = id
 	r.cur = id
-	return r.states[id].reports
+	return r.states[id].row
 }
 
 // nfaStep computes one cycle transition on the NFA tables: enabled states
@@ -420,21 +436,51 @@ func (r *Runner) nfaStep(dst, src *bitvec.Vector, data []byte, pad int, first bo
 	}
 }
 
-// listReports returns the reporting states of a raw set in ascending
-// order, reusing the runner's scratch buffer.
-func (r *Runner) listReports(set *bitvec.Vector) []automata.StateID {
+// buildRow builds the emission row of a raw set into the runner's scratch
+// buffer: the reports of every reporting member, sorted by compareReports
+// and deduplicated by (Offset, Origin). Sorting puts duplicates next to
+// each other because a report's Code is a function of its Origin (the
+// transformation copies the origin byte state's code), so one pass of
+// adjacent compaction suffices.
+func (r *Runner) buildRow(set *bitvec.Vector) []automata.Report {
 	if !set.Intersects(r.p.reportMask) {
 		return nil
 	}
-	out := r.scratch[:0]
+	row := r.scratch[:0]
 	set.ForEach(func(i int) bool {
 		if r.p.reportMask.Get(i) {
-			out = append(out, automata.StateID(i))
+			row = append(row, r.p.a.States[i].Reports...)
 		}
 		return true
 	})
-	r.scratch = out
-	return out
+	slices.SortFunc(row, compareReports)
+	row = slices.CompactFunc(row, sameReport)
+	r.scratch = row
+	return row
+}
+
+// ReportByte returns the byte of its cycle a report ends on: Offset is in
+// nibble units and Supported pins SymbolUnits to 2.
+func ReportByte(rep automata.Report) int64 { return int64(rep.Offset >> 1) }
+
+// compareReports is row order: (Offset/SymbolUnits, Code, Offset,
+// Origin). The first key is ReportByte, so the order projects to
+// ascending (position, code).
+func compareReports(a, b automata.Report) int {
+	if c := cmp.Compare(ReportByte(a), ReportByte(b)); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Code, b.Code); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Offset, b.Offset); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Origin, b.Origin)
+}
+
+func sameReport(a, b automata.Report) bool {
+	return a.Offset == b.Offset && a.Origin == b.Origin
 }
 
 // intern returns the cached state ID for set, constructing (and possibly
@@ -461,17 +507,13 @@ func (r *Runner) intern(set *bitvec.Vector) int32 {
 	for i := range cells {
 		cells[i] = -1
 	}
-	var reports []automata.StateID
-	if set.Intersects(r.p.reportMask) {
-		set.ForEach(func(i int) bool {
-			if r.p.reportMask.Get(i) {
-				reports = append(reports, automata.StateID(i))
-			}
-			return true
-		})
+	var row []automata.Report
+	if scratch := r.buildRow(set); len(scratch) > 0 {
+		row = make([]automata.Report, len(scratch))
+		copy(row, scratch)
 	}
 	r.states = append(r.states, dstate{
-		set: set.Clone(), hash: h, cells: cells, reports: reports, prev: -1, next: -1,
+		set: set.Clone(), hash: h, cells: cells, row: row, prev: -1, next: -1,
 	})
 	r.index[h] = append(r.index[h], id)
 	r.live++
@@ -492,7 +534,7 @@ func (r *Runner) evict() {
 	st.dead = true
 	st.set = nil
 	st.cells = nil
-	st.reports = nil
+	st.row = nil
 	// Drop the index entry so the husk is not rediscovered.
 	bucket := r.index[st.hash]
 	for i, id := range bucket {

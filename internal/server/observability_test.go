@@ -318,6 +318,9 @@ func TestTracedRequestsConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	// A client can read a whole response before its handler returns and
+	// ends the request's root span; Close waits for every handler.
+	ts.Close()
 
 	rs, _ := s.lookup("nids")
 	if got := rs.lat.Count(); got != workers*perWorker {

@@ -64,7 +64,7 @@ func (e *Engine) ScanParallel(input []byte, opts ScanOptions) (*ScanResult, erro
 		return e.scanPrefiltered(input, opts.workers())
 	}
 	if backend == meta.BackendDFA {
-		return e.scanDFAFresh(input)
+		return e.scanDFAFresh(input), nil
 	}
 	return e.scanSharded(input, opts)
 }
@@ -88,6 +88,9 @@ func (e *Engine) scanSharded(input []byte, opts ScanOptions) (*ScanResult, error
 			ReportCycles: rr.ReportCycles,
 		},
 		PerPU: toPUStats(rr.PerPU),
+	}
+	if len(rr.Events) > 0 {
+		out.Matches = make([]Match, 0, len(rr.Events))
 	}
 	for _, ev := range rr.Events {
 		// Same phantom filter as Scan: matches "ending" in the pad tail of
@@ -188,6 +191,9 @@ func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, er
 					ReportCycles: r.ReportCycles,
 				},
 				PerPU: toPUStats(m.PerPU()),
+			}
+			if len(r.Events) > 0 {
+				out.Matches = make([]Match, 0, len(r.Events))
 			}
 			for _, ev := range r.Events {
 				if ev.Unit >= int64(len(units)) {

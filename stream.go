@@ -47,9 +47,11 @@ type Stream struct {
 	pendB     []byte
 	dfaCycles int64
 	scratch   []automata.StateID
-	seen      map[streamKey]bool
-	bytesIn   int64
-	closed    bool
+	// seen is emit's per-cycle dedup set; nil on DFA streams, whose
+	// emission rows arrive deduplicated.
+	seen    map[streamKey]bool
+	bytesIn int64
+	closed  bool
 	// reports / reportCycles accumulate the same per-cycle deduplicated
 	// counts as Engine.Scan, so Close returns identical Stats.
 	reports      int64
@@ -69,7 +71,7 @@ type streamKey struct {
 // stream at a time; for concurrent streams, open each on its own
 // Engine.Clone — clones share the compiled artifacts, so this is cheap.
 func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
-	s := &Stream{eng: e, onMatch: onMatch, seen: make(map[streamKey]bool)}
+	s := &Stream{eng: e, onMatch: onMatch}
 	if e.injector != nil {
 		g, err := e.newGuard()
 		if err != nil {
@@ -77,17 +79,21 @@ func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
 		}
 		g.OnReportCycle(s.emit)
 		s.guard = g
-		return s, nil
+	} else {
+		e.machine.Reset()
+		if e.pre.enabled() {
+			s.filt = newStreamFilter(s)
+		} else if e.backend == meta.BackendDFA {
+			// Streams are inherently sequential, so the "parallel" backend
+			// streams on the machine like "nfa"; only "dfa" changes
+			// substrate. Its emission rows arrive deduplicated, so the
+			// stream needs no seen map.
+			s.dfaRun = e.dfaRunnerFor()
+			s.dfaRun.Reset()
+			return s, nil
+		}
 	}
-	e.machine.Reset()
-	if e.pre.enabled() {
-		s.filt = newStreamFilter(s)
-	} else if e.backend == meta.BackendDFA {
-		// Streams are inherently sequential, so the "parallel" backend
-		// streams on the machine like "nfa"; only "dfa" changes substrate.
-		s.dfaRun = e.dfaRunnerFor()
-		s.dfaRun.Reset()
-	}
+	s.seen = make(map[streamKey]bool)
 	return s, nil
 }
 
@@ -165,11 +171,26 @@ func (s *Stream) flushDFA() {
 	s.pendB = s.pendB[:0]
 }
 
+// stepDFA executes one cycle on the lazy DFA and delivers its emission
+// row, which is already deduplicated and in (Position, Code) order.
 func (s *Stream) stepDFA(data []byte, pad int) {
-	cycle := s.dfaCycles
+	start := s.dfaCycles * int64(s.eng.dfaPlan.StepBytes())
 	s.dfaCycles++
-	if ids := s.dfaRun.Step(data, pad); len(ids) > 0 {
-		s.emit(cycle, ids)
+	row := s.dfaRun.Step(data, pad)
+	if len(row) == 0 {
+		return
+	}
+	s.reports += int64(len(row))
+	s.reportCycles++
+	if s.onMatch == nil {
+		return
+	}
+	for _, rep := range row {
+		// Same phantom filter as emit: a report ending past the bytes
+		// written so far sits in the pad tail of the final cycle.
+		if pos := start + dfa.ReportByte(rep); pos < s.bytesIn {
+			s.onMatch(Match{Position: pos, Code: rep.Code})
+		}
 	}
 }
 

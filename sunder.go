@@ -149,6 +149,13 @@ func (s Stats) Overhead() float64 {
 
 // ScanResult holds the matches and statistics of one scan.
 type ScanResult struct {
+	// Matches are the scan's matches. On the "dfa" backend they come in
+	// ascending (Position, Code) order, independent of the engine's DFA
+	// cache history: a warm engine and a fresh Clone return identical
+	// slices. The other substrates return device order (per cycle, in the
+	// order the device lists its reporting states) until one order is
+	// shared by every substrate; the multiset of matches is the same on
+	// all of them.
 	Matches []Match
 	Stats   Stats
 	// PerPU breaks the device activity down by processing unit; summing
@@ -350,7 +357,7 @@ func (e *Engine) Scan(input []byte) (*ScanResult, error) {
 	}
 	switch e.backend {
 	case meta.BackendDFA:
-		return e.scanDFA(input)
+		return e.scanDFA(input), nil
 	case meta.BackendParallel:
 		return e.scanSharded(input, ScanOptions{})
 	}
@@ -366,6 +373,9 @@ func (e *Engine) Scan(input []byte) (*ScanResult, error) {
 			ReportCycles: res.ReportCycles,
 		},
 		PerPU: e.PerPU(),
+	}
+	if len(res.Events) > 0 {
+		out.Matches = make([]Match, 0, len(res.Events))
 	}
 	for _, ev := range res.Events {
 		// Drop phantom matches that "end" in the pad tail of the last
