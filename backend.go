@@ -10,36 +10,27 @@ import (
 	"sunder/internal/sched"
 )
 
-// resolveBackend validates Options.Backend and resolves the engine's scan
-// backend. It runs at the end of compilation, after the prefilter plan is
-// final (an engaged prefilter owns scans, so "auto" must see it), and is
-// pure: re-running it on the same engine yields the same choice.
+// resolveBackend validates Options.Backend and resolves the artifact's
+// scan backend. It runs last in compilation, after the prefilter plan is
+// final: an engaged prefilter owns scans, so "auto" must see it.
 //
 // Dispatch precedence at scan time is fixed regardless of the resolved
-// backend: an armed fault policy always takes the guarded sequential path
-// (the recovery protocol is machine-level), and an engaged literal
-// prefilter owns the scan next (its windowed execution already replays on
-// NFA clones). The backend selects the substrate for everything else.
-func resolveBackend(e *Engine) error {
-	in := e.metaIn
-	in.PrefilterEngaged = e.pre.enabled()
-	e.metaIn = in
-	e.autoChoice = meta.Select(in)
-	switch e.opts.Backend {
-	case "", meta.BackendNFA:
-		e.backend, e.backendNote = meta.BackendNFA, meta.BackendNFA
-	case meta.BackendAuto:
-		e.backend = e.autoChoice.Backend
-		e.backendNote = e.autoChoice.String()
-	case meta.BackendDFA:
-		if e.dfaPlan == nil {
-			return fmt.Errorf("sunder: Backend %q unsupported for this configuration: %s", meta.BackendDFA, e.metaIn.DFAReason)
-		}
-		e.backend, e.backendNote = meta.BackendDFA, meta.BackendDFA
-	case meta.BackendParallel:
-		e.backend, e.backendNote = meta.BackendParallel, meta.BackendParallel
-	default:
-		return fmt.Errorf("sunder: unknown Backend %q (want \"auto\", \"nfa\", \"dfa\" or \"parallel\")", e.opts.Backend)
+// backend (see Engine.route): an armed fault policy always takes the
+// guarded sequential path (the recovery protocol is machine-level), and an
+// engaged literal prefilter owns the scan next (its windowed execution
+// already replays on NFA clones). The backend selects the substrate for
+// everything else.
+func resolveBackend(a *artifact) error {
+	a.metaIn.PrefilterEngaged = a.pre.enabled()
+	a.autoChoice = meta.Select(a.metaIn)
+	a.backend = meta.BackendNFA
+	backend, err := a.effectiveBackend(a.opts.Backend)
+	if err != nil {
+		return err
+	}
+	a.backend, a.backendNote = backend, backend
+	if a.opts.Backend == meta.BackendAuto {
+		a.backendNote = a.autoChoice.String()
 	}
 	return nil
 }
@@ -47,29 +38,35 @@ func resolveBackend(e *Engine) error {
 // buildBackendShape computes the shape statistics backend selection
 // consumes and, when the lazy DFA supports the compiled geometry, its
 // stepping plan under the certified symbol-class partition of the byte
-// automaton.
-func buildBackendShape(e *Engine) error {
-	supported, reason := dfa.Supported(e.nibble)
+// automaton. That partition is computed and certificate-checked here once,
+// also for Options.Minimize, which reports its class count.
+func buildBackendShape(a *artifact) error {
+	supported, reason := dfa.Supported(a.nibble)
 	classes := 0
-	if supported {
-		sc := analysis.SymbolClasses(e.byteNFA)
-		if err := analysis.CheckSymbolClasses(e.byteNFA, sc); err != nil {
+	if supported || a.opts.Minimize {
+		sc := analysis.SymbolClasses(a.byteNFA)
+		if err := analysis.CheckSymbolClasses(a.byteNFA, sc); err != nil {
 			return fmt.Errorf("sunder: symbol-class certificate rejected: %w", err)
 		}
-		classes = sc.Count()
-		plan, err := dfa.NewPlan(e.nibble, sc.Class, classes)
-		if err != nil {
-			return err
+		if a.opts.Minimize {
+			a.symClasses = sc.Count()
 		}
-		e.dfaPlan = plan
+		if supported {
+			classes = sc.Count()
+			plan, err := dfa.NewPlan(a.nibble, sc.Class, classes)
+			if err != nil {
+				return err
+			}
+			a.dfaPlan = plan
+		}
 	}
-	depth, bounded := sched.DependenceCycles(e.nibble)
-	e.metaIn = meta.Inputs{
-		ByteStates:       e.byteNFA.NumStates(),
-		DeviceStates:     e.nibble.NumStates(),
-		ReportStates:     e.nibble.NumReportStates(),
-		Rate:             e.nibble.Rate,
-		SymbolUnits:      e.nibble.SymbolUnits,
+	depth, bounded := sched.DependenceCycles(a.nibble)
+	a.metaIn = meta.Inputs{
+		ByteStates:       a.byteNFA.NumStates(),
+		DeviceStates:     a.nibble.NumStates(),
+		ReportStates:     a.nibble.NumReportStates(),
+		Rate:             a.nibble.Rate,
+		SymbolUnits:      a.nibble.SymbolUnits,
 		DependenceWindow: depth,
 		Bounded:          bounded,
 		SymbolClasses:    classes,
@@ -80,111 +77,75 @@ func buildBackendShape(e *Engine) error {
 }
 
 // effectiveBackend resolves a per-call ScanOptions.Backend override
-// against the engine's compiled choice.
-func (e *Engine) effectiveBackend(override string) (string, error) {
-	if override == "" {
-		return e.backend, nil
-	}
-	if !meta.Known(override) {
+// against the compiled choice (during compilation, the "nfa" default).
+func (a *artifact) effectiveBackend(override string) (string, error) {
+	switch {
+	case override == "":
+		return a.backend, nil
+	case !meta.Known(override):
 		return "", fmt.Errorf("sunder: unknown Backend %q (want \"auto\", \"nfa\", \"dfa\" or \"parallel\")", override)
-	}
-	if override == meta.BackendAuto {
-		return e.autoChoice.Backend, nil
-	}
-	if override == meta.BackendDFA && e.dfaPlan == nil {
-		return "", fmt.Errorf("sunder: Backend %q unsupported for this configuration: %s", meta.BackendDFA, e.metaIn.DFAReason)
+	case override == meta.BackendAuto:
+		return a.autoChoice.Backend, nil
+	case override == meta.BackendDFA && a.dfaPlan == nil:
+		return "", fmt.Errorf("sunder: Backend %q unsupported for this configuration: %s", meta.BackendDFA, a.metaIn.DFAReason)
 	}
 	return override, nil
 }
 
-// dfaRunnerFor returns the engine's persistent sequential runner, building
-// it on first use. Like the shared machine, it belongs to the sequential
-// entry points (Scan, NewStream) — the parallel paths build their own.
-func (e *Engine) dfaRunnerFor() *dfa.Runner {
-	if e.dfaRunner == nil {
-		e.dfaRunner = dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig())
-	}
-	return e.dfaRunner
-}
-
-// scanDFA is the sequential lazy-DFA scan on the engine's persistent
-// runner (its state cache stays hot across scans).
-func (e *Engine) scanDFA(input []byte) *ScanResult {
-	return e.scanDFAWith(e.dfaRunnerFor(), input)
-}
-
-// scanDFAFresh runs on a throwaway runner; the parallel entry points use
-// it so they never touch sequential-path state.
-func (e *Engine) scanDFAFresh(input []byte) *ScanResult {
-	return e.scanDFAWith(dfa.NewRunner(e.dfaPlan, dfa.DefaultConfig()), input)
-}
-
-// scanDFAWith executes input cycle by cycle on the lazy DFA, reproducing
-// the device's Reports/ReportCycles accounting exactly: each cycle's
-// emission row is already deduplicated by (offset, origin), and reports
-// ending in the pad tail still count but are not matches. Matches come out
-// in ascending (Position, Code) order whatever the runner's cache history.
+// scanDFA executes input cycle by cycle on the lazy-DFA runner r,
+// reproducing the device's Reports/ReportCycles accounting exactly.
 // KernelCycles equals the device's padded cycle count; StallCycles,
 // Flushes and the PerPU breakdown are artifacts of the simulated report
 // region and are reported as zero — the same documented divergence as
 // ScanParallel's clone-local stall accounting.
-func (e *Engine) scanDFAWith(r *dfa.Runner, input []byte) *ScanResult {
+func (a *artifact) scanDFA(r *dfa.Runner, input []byte) *ScanResult {
 	r.Reset()
-	sb := e.dfaPlan.StepBytes()
-	n := int64(len(input))
+	sb := a.dfaPlan.StepBytes()
 	cycles := (len(input) + sb - 1) / sb
-	out := &ScanResult{PerPU: make([]PUStats, e.proto.NumPUs())}
-	for i := range out.PerPU {
-		out.PerPU[i].PU = i
-	}
-	var ms matchChunks
+	rows := rowMatches{a: a, n: int64(len(input))}
 	for c := 0; c < cycles; c++ {
-		start := c * sb
-		end := start + sb
-		pad := 0
-		if end > len(input) {
-			pad = end - len(input)
-			end = len(input)
-		}
-		row := r.Step(input[start:end], pad)
-		if len(row) == 0 {
-			continue
-		}
-		out.Stats.Reports += int64(len(row))
-		out.Stats.ReportCycles++
-		if pad > 0 {
-			// Phantoms: reports "ending" in the pad tail still count in
-			// Reports (the device writes the entry) but are not matches.
-			// Rows ascend by position, so they are the row's suffix.
-			keep := 0
-			for keep < len(row) && int64(start)+dfa.ReportByte(row[keep]) < n {
-				keep++
-			}
-			row = row[:keep]
-		}
-		ms.addRow(int64(start), row)
+		start, end := c*sb, min((c+1)*sb, len(input))
+		rows.add(int64(c), r.Step(input[start:end], start+sb-end))
 	}
-	out.Matches = ms.flatten()
+	out := rows.result()
 	out.Stats.KernelCycles = int64(cycles)
+	out.PerPU = a.idlePerPU()
 	return out
 }
 
-// matchChunks collects matches into doubling chunks, so a scan with
-// millions of matches never re-copies a growing slice; flatten then copies
-// them once into an exactly sized slice. Allocations grow with the log of
-// the match count, and nothing outlives the call that owns the collector.
-type matchChunks struct {
+// rowMatches assembles the emission rows of substrates that hand them out
+// per cycle — the lazy DFA and the fault guard — into a scan result. It
+// collects matches into doubling chunks, so a scan with millions of
+// matches never re-copies a growing slice; result then copies them once
+// into an exactly sized slice. Allocations grow with the log of the match
+// count, and nothing outlives the call that owns the collector.
+type rowMatches struct {
+	a *artifact
+	// n is the input length: reports ending at or past byte n are pad-tail
+	// phantoms, counted in Reports but not matches.
+	n     int64
+	stats Stats
 	// full holds the filled chunks; 40 doublings from 256 matches exceed
 	// any address space, so it never grows.
 	full  [40][]Match
 	nfull int
 	cur   []Match
-	n     int
+	count int
 }
 
-// addRow appends the matches of one emission row whose cycle starts at
-// input byte start.
-func (b *matchChunks) addRow(start int64, row []automata.Report) {
+// add accounts one cycle's emission row (empty when nothing reported) and
+// appends its matches. Rows ascend by position, so phantoms are a row's
+// suffix.
+func (b *rowMatches) add(cycle int64, row []automata.Report) {
+	if len(row) == 0 {
+		return
+	}
+	b.stats.Reports += int64(len(row))
+	b.stats.ReportCycles++
+	base := cycle * b.a.cycleUnits
+	for len(row) > 0 && bytePos(base+int64(row[len(row)-1].Offset)) >= b.n {
+		row = row[:len(row)-1]
+	}
 	if cap(b.cur)-len(b.cur) < len(row) {
 		b.grow(len(row))
 	}
@@ -192,33 +153,36 @@ func (b *matchChunks) addRow(start int64, row []automata.Report) {
 	b.cur = b.cur[:i+len(row)]
 	dst := b.cur[i:]
 	for j, rep := range row {
-		dst[j] = Match{Position: start + dfa.ReportByte(rep), Code: rep.Code}
+		dst[j] = Match{Position: bytePos(base + int64(rep.Offset)), Code: rep.Code}
 	}
 }
 
 // grow retires the current chunk and starts one with room for at least
 // need more matches.
-func (b *matchChunks) grow(need int) {
+func (b *rowMatches) grow(need int) {
 	size := 256
 	if c := cap(b.cur); c > 0 {
 		b.full[b.nfull] = b.cur
 		b.nfull++
-		b.n += len(b.cur)
+		b.count += len(b.cur)
 		size = 2 * c
 	}
 	b.cur = make([]Match, 0, max(size, need))
 }
 
-// flatten returns every collected match in order, nil when there are none.
-func (b *matchChunks) flatten() []Match {
-	if b.n+len(b.cur) == 0 {
-		return nil
+// result returns the collected matches in order (nil when there are none)
+// with the report counts.
+func (b *rowMatches) result() *ScanResult {
+	out := &ScanResult{Stats: b.stats}
+	if b.count+len(b.cur) == 0 {
+		return out
 	}
-	out := make([]Match, 0, b.n+len(b.cur))
+	out.Matches = make([]Match, 0, b.count+len(b.cur))
 	for _, c := range b.full[:b.nfull] {
-		out = append(out, c...)
+		out.Matches = append(out.Matches, c...)
 	}
-	return append(out, b.cur...)
+	out.Matches = append(out.Matches, b.cur...)
+	return out
 }
 
 // DFAStats reports the lazy-DFA backend's cache behaviour on this engine's
@@ -242,9 +206,9 @@ type DFAStats struct {
 
 // DFAStats returns the engine's lazy-DFA cache counters.
 func (e *Engine) DFAStats() DFAStats {
-	out := DFAStats{Supported: e.dfaPlan != nil, Reason: e.metaIn.DFAReason}
-	if e.dfaRunner != nil {
-		s := e.dfaRunner.Stats()
+	out := DFAStats{Supported: e.art.dfaPlan != nil, Reason: e.art.metaIn.DFAReason}
+	if e.runner != nil {
+		s := e.runner.Stats()
 		out.States, out.Hits, out.Misses = s.States, s.Hits, s.Misses
 		out.Evictions, out.Fallbacks = s.Evictions, s.Fallbacks
 	}
@@ -254,4 +218,4 @@ func (e *Engine) DFAStats() DFAStats {
 // Backend returns the engine's resolved scan backend ("nfa", "dfa" or
 // "parallel"), annotated with the auto-selection reason when
 // Options.Backend was "auto".
-func (e *Engine) Backend() string { return e.backendNote }
+func (e *Engine) Backend() string { return e.art.backendNote }

@@ -14,7 +14,7 @@ import (
 // implementation detail and excluded.
 func compareBackend(t *testing.T, label string, base, got *ScanResult) {
 	t.Helper()
-	if !matchesEqual(sortedMatches(base.Matches), sortedMatches(got.Matches)) {
+	if !matchesEqual(base.Matches, got.Matches) {
 		t.Errorf("%s: matches diverged (%d base vs %d backend)",
 			label, len(base.Matches), len(got.Matches))
 	}
@@ -42,7 +42,7 @@ func TestBackendDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := fromByteNFA(w.Automaton, DefaultOptions())
+		base, err := CompileAutomaton(w.Automaton, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -54,7 +54,7 @@ func TestBackendDifferential(t *testing.T) {
 		for _, backend := range []string{"auto", "dfa"} {
 			opts := DefaultOptions()
 			opts.Backend = backend
-			eng, err := fromByteNFA(w.Automaton, opts)
+			eng, err := CompileAutomaton(w.Automaton, opts)
 			if err != nil {
 				if backend == "dfa" && strings.Contains(err.Error(), "unsupported") {
 					t.Logf("%s: forced dfa unsupported: %v", name, err)
@@ -95,7 +95,7 @@ func TestBackendDifferential(t *testing.T) {
 					}
 				}
 				stats := st.Close()
-				if !matchesEqual(sortedMatches(bseq.Matches), sortedMatches(got)) {
+				if !matchesEqual(bseq.Matches, got) {
 					t.Errorf("%s/stream chunk=%d: matches diverged (%d vs %d)",
 						label, chunk, len(bseq.Matches), len(got))
 				}
@@ -108,7 +108,7 @@ func TestBackendDifferential(t *testing.T) {
 		}
 
 		// The per-call override on an unforced engine must agree too.
-		if _, err := base.effectiveBackend("dfa"); err == nil {
+		if _, err := base.art.effectiveBackend("dfa"); err == nil {
 			over, err := base.ScanParallel(w.Input, ScanOptions{Backend: "dfa"})
 			if err != nil {
 				t.Fatal(err)

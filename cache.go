@@ -6,12 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sunder/internal/analysis"
-	"sunder/internal/automata"
-	"sunder/internal/core"
-	"sunder/internal/dfa"
-	"sunder/internal/mapping"
-	"sunder/internal/meta"
 	"sunder/internal/sched"
 )
 
@@ -19,38 +13,10 @@ import (
 // in rule sets.
 const DefaultCompileCacheCapacity = 64
 
-// compiledArtifact is everything compilation produces that is immutable
-// and shareable: engines built from a cache hit share these and only clone
-// the machine, skipping regex compilation, nibble transformation, striding
-// and placement entirely.
-type compiledArtifact struct {
-	opts    Options
-	byteNFA *automata.Automaton
-	nibble  *automata.UnitAutomaton
-	place   *mapping.Placement
-	proto   *core.Machine
-	// pruned is the dead-state count removed at compile time; engines built
-	// from a hit must report it through Info().PrunedStates like the
-	// original compile did. minSum and symClasses likewise persist the
-	// certified-minimization digest so a hit reports the same
-	// Info().MergedStates / SymbolClasses as the original compile.
-	pruned     int
-	minSum     analysis.MinimizeSummary
-	symClasses int
-	// pre is the compiled prefilter plan (nil when Options.Prefilter is
-	// off); immutable and read-only at scan time, so hits share it.
-	pre *prefilterPlan
-	// backend/backendNote/autoChoice/metaIn/dfaPlan persist the resolved
-	// backend and the lazy-DFA stepping plan; the per-engine DFA runner is
-	// mutable and is NOT cached — hits build their own lazily.
-	backend     string
-	backendNote string
-	autoChoice  meta.Choice
-	metaIn      meta.Inputs
-	dfaPlan     *dfa.Plan
-}
-
-var compileCache = sched.NewLRU[*compiledArtifact](DefaultCompileCacheCapacity)
+// compileCache holds compiled artifacts: a hit builds an engine on the
+// cached artifact with a fresh machine clone, skipping regex compilation,
+// nibble transformation, striding and placement entirely.
+var compileCache = sched.NewLRU[*artifact](DefaultCompileCacheCapacity)
 
 // compileHitNS / compileMissNS accumulate the wall-clock cost of
 // CompileCached lookups, split by outcome, so the serve path can report
@@ -79,23 +45,7 @@ func CompileCachedTraced(patterns []Pattern, opts Options) (*Engine, bool, error
 	start := time.Now()
 	key := compileKey(patterns, opts)
 	if art, ok := compileCache.Get(key); ok {
-		eng := &Engine{
-			opts:        art.opts,
-			byteNFA:     art.byteNFA,
-			nibble:      art.nibble,
-			machine:     art.proto.Clone(),
-			proto:       art.proto,
-			place:       art.place,
-			pruned:      art.pruned,
-			minSum:      art.minSum,
-			symClasses:  art.symClasses,
-			pre:         art.pre,
-			backend:     art.backend,
-			backendNote: art.backendNote,
-			autoChoice:  art.autoChoice,
-			metaIn:      art.metaIn,
-			dfaPlan:     art.dfaPlan,
-		}
+		eng := art.newEngine()
 		compileHitNS.Add(time.Since(start).Nanoseconds())
 		return eng, true, nil
 	}
@@ -103,22 +53,7 @@ func CompileCachedTraced(patterns []Pattern, opts Options) (*Engine, bool, error
 	if err != nil {
 		return nil, false, err
 	}
-	compileCache.Put(key, &compiledArtifact{
-		opts:        eng.opts,
-		byteNFA:     eng.byteNFA,
-		nibble:      eng.nibble,
-		place:       eng.place,
-		proto:       eng.proto,
-		pruned:      eng.pruned,
-		minSum:      eng.minSum,
-		symClasses:  eng.symClasses,
-		pre:         eng.pre,
-		backend:     eng.backend,
-		backendNote: eng.backendNote,
-		autoChoice:  eng.autoChoice,
-		metaIn:      eng.metaIn,
-		dfaPlan:     eng.dfaPlan,
-	})
+	compileCache.Put(key, eng.art)
 	compileMissNS.Add(time.Since(start).Nanoseconds())
 	return eng, false, nil
 }

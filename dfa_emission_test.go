@@ -43,8 +43,8 @@ func ascending(ms []Match) bool {
 // contract: matches come out in ascending (Position, Code) order, and a
 // scan of input B returns exactly the same slice whether the engine is a
 // fresh clone or its DFA cache was first warmed by a different input A —
-// on Scan, Stream, ScanBatch and ScanParallel. The sorted output must
-// equal the NFA core's.
+// on Scan, Stream, ScanBatch and ScanParallel. The same slice must come
+// from the NFA core and from the fault-guarded Scan and Stream.
 func TestDFAOrderIndependentOfCacheHistory(t *testing.T) {
 	const n = 6000
 	for _, name := range dfaOrderWorkloads {
@@ -73,7 +73,7 @@ func TestDFAOrderIndependentOfCacheHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !matchesEqual(sortedMatches(base.Matches), fresh.Matches) {
+		if !matchesEqual(base.Matches, fresh.Matches) {
 			t.Errorf("%s: dfa matches differ from the nfa core's", name)
 		}
 		if fresh.Stats.Reports != base.Stats.Reports || fresh.Stats.ReportCycles != base.Stats.ReportCycles {
@@ -130,6 +130,21 @@ func TestDFAOrderIndependentOfCacheHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("ScanParallel", par.Matches)
+
+		// A detection-only fault policy routes through the recovery guard,
+		// whose committed report cycles are the emission rows too.
+		guarded := eng.Clone()
+		pol := DefaultFaultPolicy()
+		if err := guarded.SetFaultPolicy(&pol); err != nil {
+			t.Fatal(err)
+		}
+		res, err = guarded.Scan(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("guarded Scan", res.Matches)
+		got, _ := streamDFA(t, guarded, in, 13)
+		check("guarded Stream", got)
 	}
 }
 

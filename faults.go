@@ -111,7 +111,7 @@ func (e *Engine) FaultPolicySet() bool { return e.injector != nil }
 // any attached telemetry collector over to it.
 func (e *Engine) newGuard() (*faults.Guard, error) {
 	tel := e.machine.Telemetry()
-	g, err := faults.NewGuard(e.machine, e.nibble, e.place, *e.faultPol, e.injector)
+	g, err := faults.NewGuard(e.machine, e.art.nibble, e.place, *e.faultPol, e.injector)
 	if err != nil {
 		return nil, err
 	}
@@ -131,54 +131,38 @@ func (e *Engine) adoptGuard(g *faults.Guard) {
 // scanGuarded is Scan under an armed fault policy: input is executed in
 // checkpointed windows and matches are taken only from committed windows,
 // so the result of a recovered scan is identical to a fault-free one.
-func (e *Engine) scanGuarded(units []funcsim.Unit) (*ScanResult, error) {
+func (e *Engine) scanGuarded(input []byte) (*ScanResult, error) {
 	g, err := e.newGuard()
 	if err != nil {
 		return nil, err
 	}
-	out := &ScanResult{}
-	seen := make(map[streamKey]bool)
-	rate := int64(e.machine.Config().Rate)
+	rows := rowMatches{a: e.art, n: int64(len(input))}
+	var row []automata.Report
 	g.OnReportCycle(func(cycle int64, states []automata.StateID) {
-		clear(seen)
-		nrep := 0
-		for _, id := range states {
-			for _, r := range e.nibble.States[id].Reports {
-				k := streamKey{offset: r.Offset, origin: r.Origin}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				nrep++
-				// Matches ending in the pad tail of the final vector are
-				// phantom (Pad satisfies any-symbol positions); drop them.
-				if unit := cycle*rate + int64(r.Offset); unit < int64(len(units)) {
-					out.Matches = append(out.Matches, Match{
-						Position: unit / int64(e.nibble.SymbolUnits),
-						Code:     r.Code,
-					})
-				}
-			}
-		}
-		out.Stats.Reports += int64(nrep)
-		out.Stats.ReportCycles++
+		row = e.art.nibble.EmissionRow(row, states)
+		rows.add(cycle, row)
 	})
-	fstats, err := g.Run(units)
+	fstats, err := g.Run(funcsim.BytesToUnits(input, 4))
 	e.adoptGuard(g)
 	if err != nil {
 		return nil, err
 	}
+	out := rows.result()
 	m := e.machine
 	out.Stats.KernelCycles = m.KernelCycles()
 	out.Stats.StallCycles = m.StallCycles()
 	out.Stats.Flushes = m.Flushes()
 	out.PerPU = e.PerPU()
-	out.Faults = &FaultReport{
-		Injected:       fstats.Injected.Total(),
-		Detected:       fstats.Detected(),
-		Recoveries:     fstats.Recoveries,
-		QuarantinedPUs: fstats.QuarantinedPUs,
-		Slowdown:       fstats.Slowdown(),
-	}
+	out.Faults = faultReport(fstats)
 	return out, nil
+}
+
+func faultReport(st faults.Stats) *FaultReport {
+	return &FaultReport{
+		Injected:       st.Injected.Total(),
+		Detected:       st.Detected(),
+		Recoveries:     st.Recoveries,
+		QuarantinedPUs: st.QuarantinedPUs,
+		Slowdown:       st.Slowdown(),
+	}
 }

@@ -71,7 +71,7 @@ func FuzzPrefilterExtract(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !matchesEqual(sortedMatches(want.Matches), sortedMatches(got.Matches)) {
+		if !matchesEqual(want.Matches, got.Matches) {
 			t.Fatalf("Compile(%q).Scan(%q): filtered %v != unfiltered %v",
 				expr, input, got.Matches, want.Matches)
 		}
@@ -83,7 +83,7 @@ func FuzzPrefilterExtract(f *testing.F) {
 		// The required-literal property itself: a full skip (no literal
 		// occurrence, no pad-tail hazard) implies the unfiltered engine saw
 		// no reports at all.
-		if filt.pre.enabled() && got.Stats.KernelCycles == 0 && got.Stats.PrefilterWindows == 0 &&
+		if filt.art.pre.enabled() && got.Stats.KernelCycles == 0 && got.Stats.PrefilterWindows == 0 &&
 			want.Stats.Reports != 0 {
 			t.Fatalf("Compile(%q).Scan(%q): prefilter skipped everything but the unfiltered engine reported %d times",
 				expr, input, want.Stats.Reports)
@@ -133,7 +133,7 @@ func FuzzMinimize(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !matchesEqual(sortedMatches(want.Matches), sortedMatches(got.Matches)) {
+		if !matchesEqual(want.Matches, got.Matches) {
 			t.Fatalf("Compile(%q).Scan(%q): minimized %v != baseline %v",
 				expr, input, got.Matches, want.Matches)
 		}

@@ -1,7 +1,9 @@
 package automata
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -134,6 +136,31 @@ func (a *UnitAutomaton) Normalize() {
 		}
 		a.States[i].Reports = out
 	}
+}
+
+// EmissionRow is one reporting cycle's output — in software, the entry the
+// device writes in place for the cycle. It gathers the reports of the
+// cycle's reporting states ids into dst's storage, sorts them by
+// (Offset/SymbolUnits, Code, Offset, Origin) and drops duplicates by
+// (Offset, Origin): striding can leave one logical report active in
+// several states at once. The first sort key is the report's symbol within
+// the cycle, so projected to matches a row is ascending (position, code),
+// and it depends only on the set of reports, never on the order of ids.
+// Sorting makes duplicates adjacent because a report's Code is a function
+// of its Origin (the transformation copies the origin state's code).
+func (a *UnitAutomaton) EmissionRow(dst []Report, ids []StateID) []Report {
+	row := dst[:0]
+	for _, id := range ids {
+		row = append(row, a.States[id].Reports...)
+	}
+	su := uint8(a.SymbolUnits)
+	slices.SortFunc(row, func(x, y Report) int {
+		return cmp.Or(cmp.Compare(x.Offset/su, y.Offset/su), cmp.Compare(x.Code, y.Code),
+			cmp.Compare(x.Offset, y.Offset), cmp.Compare(x.Origin, y.Origin))
+	})
+	return slices.CompactFunc(row, func(x, y Report) bool {
+		return x.Offset == y.Offset && x.Origin == y.Origin
+	})
 }
 
 // Validate checks structural invariants.

@@ -39,10 +39,12 @@ type Machine struct {
 	// noStartData suppresses start-of-data injection on cycle zero (see
 	// SuppressStartOfData); set on shard-worker clones replaying mid-stream.
 	noStartData bool
-	// scratch
+	// scratch (ids and row are Run's reporting states and emission row)
 	newActive []bitvec.V256
 	enables   []bitvec.V256
 	v8        []int8
+	ids       []automata.StateID
+	row       []automata.Report
 }
 
 // Configure builds a Machine from a transformed automaton and a placement.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sunder/internal/automata"
 	"sunder/internal/funcsim"
 )
 
@@ -33,60 +32,53 @@ type RunOptions struct {
 	RecordEvents bool
 }
 
-type coreDedupKey struct {
-	offset uint8
-	origin int32
+// Run streams a unit input (padded to the rate) through the machine and
+// returns aggregate results. Each reporting cycle contributes its
+// automata.EmissionRow — its reports deduplicated by (offset, origin),
+// exactly as the functional simulator counts them, and sorted into
+// ascending (position, code) — so Events are in ascending (position, code)
+// order. Events leave State unset: one row entry may stand for several
+// simultaneously active states.
+func (m *Machine) Run(units []funcsim.Unit, opts RunOptions) *Result {
+	res := &Result{}
+	m.RunInto(res, units, opts)
+	return res
 }
 
-// Run streams a unit input (padded to the rate) through the machine and
-// returns aggregate results. Report counting matches the functional
-// simulator: reports deduplicate per cycle by (offset, origin), so a
-// Machine run and a funcsim run of the same automaton agree exactly.
-func (m *Machine) Run(units []funcsim.Unit, opts RunOptions) *Result {
+// RunInto is Run writing into res, so callers running many short spans on
+// one machine (prefilter windows) allocate no result per span: it adds the
+// span's report counts and events to res and sets its cycle, stall, flush
+// and summary fields to the machine's running totals.
+func (m *Machine) RunInto(res *Result, units []funcsim.Unit, opts RunOptions) {
 	units = funcsim.PadUnits(units, m.cfg.Rate)
-	res := &Result{}
-	var scratch []automata.StateID
-	seen := make(map[coreDedupKey]bool)
+	rate := int64(m.cfg.Rate)
 	for off := 0; off < len(units); off += m.cfg.Rate {
 		cycle := m.kernelCycles
-		scratch = m.Step(units[off:off+m.cfg.Rate], scratch[:0])
-		if len(scratch) == 0 {
+		m.ids = m.Step(units[off:off+m.cfg.Rate], m.ids[:0])
+		if len(m.ids) == 0 {
 			continue
 		}
-		clear(seen)
-		nrep := 0
-		for _, id := range scratch {
-			for _, r := range m.a.States[id].Reports {
-				k := coreDedupKey{offset: r.Offset, origin: r.Origin}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				nrep++
-				if opts.RecordEvents {
-					res.Events = append(res.Events, funcsim.ReportEvent{
-						Cycle:  cycle,
-						Unit:   cycle*int64(m.cfg.Rate) + int64(r.Offset),
-						State:  id,
-						Code:   r.Code,
-						Origin: r.Origin,
-					})
-				}
+		m.row = m.a.EmissionRow(m.row, m.ids)
+		if opts.RecordEvents {
+			for _, r := range m.row {
+				res.Events = append(res.Events, funcsim.ReportEvent{
+					Cycle:  cycle,
+					Unit:   cycle*rate + int64(r.Offset),
+					Code:   r.Code,
+					Origin: r.Origin,
+				})
 			}
 		}
 		res.ReportCycles++
-		res.Reports += int64(nrep)
-		if nrep > res.MaxReportsPerCycle {
-			res.MaxReportsPerCycle = nrep
-		}
+		res.Reports += int64(len(m.row))
+		res.MaxReportsPerCycle = max(res.MaxReportsPerCycle, len(m.row))
 		if m.tel != nil {
 			m.tel.reportCycles.Inc()
-			m.tel.reports.Add(int64(nrep))
+			m.tel.reports.Add(int64(len(m.row)))
 		}
 	}
 	res.KernelCycles = m.kernelCycles
 	res.StallCycles = m.stallCycles
 	res.Flushes = m.Flushes()
 	res.Summaries = m.Summaries()
-	return res
 }

@@ -27,17 +27,15 @@
 // time-dependent) and any cycle containing pad units (pad semantics depend
 // on where the input ends). Everything between is cached.
 //
-// Each cached state also carries its emission row: the set's reports,
-// deduplicated by (Offset, Origin) and sorted into row order (see Step).
+// Each cached state also carries its emission row (automata.EmissionRow
+// of the set's reporting members).
 // Report emission on a cache hit is therefore a slice hand-off, and the
 // emitted order is a function of the reports alone, never of which bytes
 // first built the state.
 package dfa
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"sunder/internal/automata"
 	"sunder/internal/bitvec"
@@ -282,9 +280,11 @@ type Runner struct {
 	cur     int32
 	active  *bitvec.Vector
 	enabled *bitvec.Vector
-	// scratch holds the emission row under construction: interned
-	// states copy it out, directly-stepped cycles return it.
+	// scratch holds the emission row under construction (ids its
+	// reporting states): interned states copy it out, directly-stepped
+	// cycles return it.
 	scratch  []automata.Report
+	ids      []automata.StateID
 	cycle    int64
 	fellBack bool
 
@@ -337,12 +337,11 @@ func (r *Runner) Reset() {
 
 // Step consumes one cycle: the next StepBytes() input bytes, of which the
 // last pad positions are past the end of the input (the final cycle of an
-// odd-length input). It returns the cycle's emission row: the reports of
-// the cycle's active reporting states, deduplicated by (Offset, Origin) —
-// the device's per-cycle semantics — and sorted by (Offset/SymbolUnits,
-// Code, Offset, Origin). Projected to matches that is ascending (position,
-// code), and it does not depend on the runner's cache history: warm and
-// fresh runners return identical rows for identical input. The slice is
+// odd-length input). It returns the cycle's emission row — the
+// automata.EmissionRow of the cycle's active reporting states, the same
+// row every substrate emits — so it does not depend on the runner's cache
+// history: warm and fresh runners return identical rows for identical
+// input. The slice is
 // owned by the runner — read it before the next Step and do not mutate or
 // retain it (cached states hand out their long-lived rows).
 func (r *Runner) Step(data []byte, pad int) []automata.Report {
@@ -437,50 +436,21 @@ func (r *Runner) nfaStep(dst, src *bitvec.Vector, data []byte, pad int, first bo
 }
 
 // buildRow builds the emission row of a raw set into the runner's scratch
-// buffer: the reports of every reporting member, sorted by compareReports
-// and deduplicated by (Offset, Origin). Sorting puts duplicates next to
-// each other because a report's Code is a function of its Origin (the
-// transformation copies the origin byte state's code), so one pass of
-// adjacent compaction suffices.
+// buffer (automata.EmissionRow over its reporting members).
 func (r *Runner) buildRow(set *bitvec.Vector) []automata.Report {
 	if !set.Intersects(r.p.reportMask) {
 		return nil
 	}
-	row := r.scratch[:0]
+	ids := r.ids[:0]
 	set.ForEach(func(i int) bool {
 		if r.p.reportMask.Get(i) {
-			row = append(row, r.p.a.States[i].Reports...)
+			ids = append(ids, automata.StateID(i))
 		}
 		return true
 	})
-	slices.SortFunc(row, compareReports)
-	row = slices.CompactFunc(row, sameReport)
-	r.scratch = row
-	return row
-}
-
-// ReportByte returns the byte of its cycle a report ends on: Offset is in
-// nibble units and Supported pins SymbolUnits to 2.
-func ReportByte(rep automata.Report) int64 { return int64(rep.Offset >> 1) }
-
-// compareReports is row order: (Offset/SymbolUnits, Code, Offset,
-// Origin). The first key is ReportByte, so the order projects to
-// ascending (position, code).
-func compareReports(a, b automata.Report) int {
-	if c := cmp.Compare(ReportByte(a), ReportByte(b)); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Code, b.Code); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Offset, b.Offset); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Origin, b.Origin)
-}
-
-func sameReport(a, b automata.Report) bool {
-	return a.Offset == b.Offset && a.Origin == b.Origin
+	r.ids = ids
+	r.scratch = r.p.a.EmissionRow(r.scratch, ids)
+	return r.scratch
 }
 
 // intern returns the cached state ID for set, constructing (and possibly

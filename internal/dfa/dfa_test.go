@@ -56,7 +56,8 @@ func runDFA(t *testing.T, r *Runner, input []byte) (events []event, reports, rep
 
 // runSim is the reference: the functional simulator over the same padded
 // unit stream, with each cycle's events sorted into the documented
-// emission-row order (Step). The simulator emits a cycle's events in
+// emission-row order (automata.EmissionRow: byte within the cycle, code,
+// offset, origin). The simulator emits a cycle's events in
 // device-state order; the multiset per cycle is what the two must share.
 func runSim(a *automata.UnitAutomaton, input []byte) (events []event, reports, reportCycles int64) {
 	units := funcsim.BytesToUnits(input, 4)
@@ -70,9 +71,8 @@ func runSim(a *automata.UnitAutomaton, input []byte) (events []event, reports, r
 		if c := cmp.Compare(x.cycle, y.cycle); c != 0 {
 			return c
 		}
-		return compareReports(
-			automata.Report{Offset: x.offset, Code: x.code, Origin: x.origin},
-			automata.Report{Offset: y.offset, Code: y.code, Origin: y.origin})
+		return cmp.Or(cmp.Compare(x.offset/2, y.offset/2), cmp.Compare(x.code, y.code),
+			cmp.Compare(x.offset, y.offset), cmp.Compare(x.origin, y.origin))
 	})
 	return events, res.Reports, res.ReportCycles
 }

@@ -8,7 +8,7 @@ package metastudy
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -126,34 +126,13 @@ func timeScan(e *sunder.Engine, input []byte) (*sunder.ScanResult, int64, error)
 	return res, best, nil
 }
 
-// sameScan compares two results as match multisets (parallel shards and
-// the per-cycle DFA emission order may interleave equal-cycle matches
-// differently) plus the report statistics.
+// sameScan compares two results' matches in exact order — every backend
+// returns ascending (Position, Code) — plus the report statistics.
 func sameScan(a, b *sunder.ScanResult) bool {
 	if a.Stats.Reports != b.Stats.Reports || a.Stats.ReportCycles != b.Stats.ReportCycles {
 		return false
 	}
-	if len(a.Matches) != len(b.Matches) {
-		return false
-	}
-	am, bm := sortedMatches(a.Matches), sortedMatches(b.Matches)
-	for i := range am {
-		if am[i] != bm[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortedMatches(ms []sunder.Match) []sunder.Match {
-	out := append([]sunder.Match(nil), ms...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Position != out[j].Position {
-			return out[i].Position < out[j].Position
-		}
-		return out[i].Code < out[j].Code
-	})
-	return out
+	return slices.Equal(a.Matches, b.Matches)
 }
 
 func ratio(base, other int64) float64 {

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"strings"
 	"testing"
 
 	"sunder/internal/automata"
@@ -102,10 +103,32 @@ func TestAutoReportColumnsLowers(t *testing.T) {
 	}
 }
 
+// TestAutoReportColumnsInfeasible checks each infeasible shape is rejected
+// with an error naming the bound it breaks.
 func TestAutoReportColumnsInfeasible(t *testing.T) {
-	ua := manyChains(1, StatesPerCluster+5)
-	if _, err := AutoReportColumns(ua, 12); err == nil {
-		t.Error("oversized component accepted")
+	// conflicting joins a component needing m >= 100 (400 reports) with one
+	// allowing m <= 256-ceil(1000/4) = 6.
+	conflicting := chainUA(400, 1)
+	for _, s := range chainUA(1000, 0).States {
+		for i := range s.Succ {
+			s.Succ[i] += 400
+		}
+		conflicting.AddState(s)
+	}
+	for _, tc := range []struct {
+		name string
+		ua   *automata.UnitAutomaton
+		want string
+	}{
+		{"oversized component", manyChains(1, StatesPerCluster+5), "component of 1029 states exceeds one 4-PU cluster (1024 states)"},
+		{"just over a cluster", chainUA(StatesPerCluster+1, 0), "component of 1025 states exceeds one 4-PU cluster (1024 states)"},
+		{"too many reports", chainUA(600, 1), "need >= 150, <= 128"},
+		{"conflicting components", conflicting, "need >= 100, <= 6"},
+	} {
+		_, err := AutoReportColumns(tc.ua, 12)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
+		}
 	}
 }
 

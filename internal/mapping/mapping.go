@@ -56,11 +56,16 @@ func ClusterOf(pu int) int { return pu / PUsPerCluster }
 // the automaton, as close to preferred as possible. Each connected
 // component must fit one cluster, which bounds m from below (its report
 // states need ⌈reports/4⌉ columns per PU) and from above (its plain states
-// need the remaining columns). An error is returned when no m in
-// [1, StatesPerPU/2] satisfies every component.
+// need the remaining columns). An error is returned when a component is
+// larger than a cluster, or no m in [1, StatesPerPU/2] satisfies every
+// component.
 func AutoReportColumns(a *automata.UnitAutomaton, preferred int) (int, error) {
 	mMin, mMax := 1, StatesPerPU/2
 	for _, comp := range components(a) {
+		if len(comp) > StatesPerCluster {
+			return 0, fmt.Errorf("mapping: connected component of %d states exceeds one %d-PU cluster (%d states)",
+				len(comp), PUsPerCluster, StatesPerCluster)
+		}
 		reports := 0
 		for _, s := range comp {
 			if len(a.States[s].Reports) > 0 {

@@ -41,16 +41,8 @@ type RunConfig struct {
 // included), so these device-accounting fields are *not* comparable to a
 // sequential run cycle for cycle.
 type RunResult struct {
-	KernelCycles       int64
-	Reports            int64
-	ReportCycles       int64
-	MaxReportsPerCycle int
-	Events             []funcsim.ReportEvent
-
-	StallCycles int64
-	Flushes     int64
-	Summaries   int64
-	PerPU       []core.PUStats
+	core.Result
+	PerPU []core.PUStats
 
 	// Workers is the number of shards actually executed; WarmupCycles the
 	// total replay overhead across them; OverlapCycles the per-shard
@@ -116,36 +108,37 @@ func ParallelRun(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim
 			ss.SetAttr("shard=" + strconv.Itoa(i) +
 				" warmup=" + strconv.FormatInt(shards[i].WarmupCycles(), 10) +
 				" owned=" + strconv.FormatInt(shards[i].EndCycle-shards[i].StartCycle, 10))
-			outs[i] = runShard(proto, a, units, shards[i], rc, ss)
+			runShard(proto.Clone(), units, shards[i], rc, ss, &outs[i])
 			ss.End()
 		}(i)
 	}
 	wg.Wait()
 
-	res := &RunResult{
-		KernelCycles:  totalCycles,
-		Workers:       len(shards),
-		OverlapCycles: overlap,
-		Sharded:       true,
-	}
+	res := &RunResult{Workers: len(shards), OverlapCycles: overlap, Sharded: true}
+	res.merge(outs, rc.RecordEvents)
+	return res
+}
+
+// merge concatenates the shard outputs' events in shard order, which is
+// cycle order, and sums their accounting into res.
+func (res *RunResult) merge(outs []shardOut, record bool) {
 	nev := 0
 	for i := range outs {
-		nev += len(outs[i].events)
+		nev += len(outs[i].Events)
 	}
-	if rc.RecordEvents {
+	if record {
 		res.Events = make([]funcsim.ReportEvent, 0, nev)
 	}
 	for i := range outs {
 		o := &outs[i]
-		res.Events = append(res.Events, o.events...)
-		res.Reports += o.reports
-		res.ReportCycles += o.reportCycles
-		if o.maxPerCycle > res.MaxReportsPerCycle {
-			res.MaxReportsPerCycle = o.maxPerCycle
-		}
-		res.StallCycles += o.stallCycles
-		res.Flushes += o.flushes
-		res.Summaries += o.summaries
+		res.Events = append(res.Events, o.Events...)
+		res.KernelCycles += o.KernelCycles
+		res.Reports += o.Reports
+		res.ReportCycles += o.ReportCycles
+		res.MaxReportsPerCycle = max(res.MaxReportsPerCycle, o.MaxReportsPerCycle)
+		res.StallCycles += o.StallCycles
+		res.Flushes += o.Flushes
+		res.Summaries += o.Summaries
 		res.WarmupCycles += o.warmup
 		if res.PerPU == nil {
 			res.PerPU = o.perPU
@@ -153,7 +146,6 @@ func ParallelRun(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim
 			addPerPU(res.PerPU, o.perPU)
 		}
 	}
-	return res
 }
 
 // runSequential is the fallback path: one clone, the whole input. Its
@@ -166,52 +158,23 @@ func runSequential(proto *core.Machine, units []funcsim.Unit, rc RunConfig, sp *
 		m.AttachTelemetry(rc.Collector)
 	}
 	r := m.Run(units, core.RunOptions{RecordEvents: rc.RecordEvents})
-	return &RunResult{
-		KernelCycles:       r.KernelCycles,
-		Reports:            r.Reports,
-		ReportCycles:       r.ReportCycles,
-		MaxReportsPerCycle: r.MaxReportsPerCycle,
-		Events:             r.Events,
-		StallCycles:        r.StallCycles,
-		Flushes:            r.Flushes,
-		Summaries:          r.Summaries,
-		PerPU:              m.PerPU(),
-		Workers:            1,
-	}
+	return &RunResult{Result: *r, PerPU: m.PerPU(), Workers: 1}
 }
 
+// shardOut is one shard's run: its owned cycles' result (KernelCycles
+// counts owned cycles only), warm-up length and per-PU breakdown.
 type shardOut struct {
-	events       []funcsim.ReportEvent
-	reports      int64
-	reportCycles int64
-	maxPerCycle  int
-	stallCycles  int64
-	flushes      int64
-	summaries    int64
-	warmup       int64
-	perPU        []core.PUStats
+	core.Result
+	warmup int64
+	perPU  []core.PUStats
 }
 
-type dedupKey struct {
-	offset uint8
-	origin int32
-}
-
-// runShard replays the shard's warm-up prefix silently, then executes the
-// owned range, reproducing core.Machine.Run's per-cycle (offset, origin)
-// deduplication so the emitted events match the sequential stream exactly.
-func runShard(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, sh Shard, rc RunConfig, sp *telemetry.SpanCtx) shardOut {
-	return runShardOnSpan(proto.Clone(), a, units, sh, rc, sp)
-}
-
-// runShardOn is runShard on a caller-provided machine (reset, telemetry
-// detached): WindowedRun reuses one clone per worker across many windows.
-func runShardOn(m *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, sh Shard, rc RunConfig) shardOut {
-	return runShardOnSpan(m, a, units, sh, rc, nil)
-}
-
-func runShardOnSpan(m *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, sh Shard, rc RunConfig, sp *telemetry.SpanCtx) shardOut {
-	rate := m.Config().Rate
+// runShard replays the shard's warm-up prefix silently on m (reset,
+// telemetry detached), then runs the owned range into out, so its emission
+// rows and events are exactly the sequential run's for those cycles.
+// WindowedRun reuses one machine per worker across many windows.
+func runShard(m *core.Machine, units []funcsim.Unit, sh Shard, rc RunConfig, sp *telemetry.SpanCtx, out *shardOut) {
+	rate := int64(m.Config().Rate)
 	// With BaseCycle > 0, local cycle zero is mid-stream: anchored states
 	// must stay quiet. When the warm-up clamps to the input start the
 	// replay *is* the sequential prefix and start-of-data injection stays
@@ -220,66 +183,27 @@ func runShardOnSpan(m *core.Machine, a *automata.UnitAutomaton, units []funcsim.
 	warm := sp.Child("warmup")
 	var scratch []automata.StateID
 	for c := sh.BaseCycle; c < sh.StartCycle; c++ {
-		off := int(c) * rate
-		scratch = m.Step(units[off:off+rate], scratch[:0])
+		scratch = m.Step(units[c*rate:(c+1)*rate], scratch[:0])
 	}
 	warm.End()
 
-	var telReports, telReportCycles *telemetry.Counter
 	if rc.Collector != nil {
 		// Post-warm-up attach: the shared counters see owned cycles only,
 		// so worker sums equal sequential totals (see RunConfig.Collector).
 		m.AttachTelemetry(rc.Collector)
-		telReports = rc.Collector.Counter(core.MetricReports)
-		telReportCycles = rc.Collector.Counter(core.MetricReportCycles)
 	}
-
-	out := shardOut{warmup: sh.WarmupCycles()}
 	scan := sp.Child("scan")
 	defer scan.End()
-	seen := make(map[dedupKey]bool)
-	for c := sh.StartCycle; c < sh.EndCycle; c++ {
-		off := int(c) * rate
-		scratch = m.Step(units[off:off+rate], scratch[:0])
-		if len(scratch) == 0 {
-			continue
-		}
-		clear(seen)
-		nrep := 0
-		for _, id := range scratch {
-			for _, r := range a.States[id].Reports {
-				k := dedupKey{offset: r.Offset, origin: r.Origin}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				nrep++
-				if rc.RecordEvents {
-					out.events = append(out.events, funcsim.ReportEvent{
-						Cycle:  c,
-						Unit:   c*int64(rate) + int64(r.Offset),
-						State:  id,
-						Code:   r.Code,
-						Origin: r.Origin,
-					})
-				}
-			}
-		}
-		out.reportCycles++
-		out.reports += int64(nrep)
-		if nrep > out.maxPerCycle {
-			out.maxPerCycle = nrep
-		}
-		if telReports != nil {
-			telReports.Add(int64(nrep))
-			telReportCycles.Inc()
-		}
+	m.RunInto(&out.Result, units[sh.StartCycle*rate:sh.EndCycle*rate], core.RunOptions{RecordEvents: rc.RecordEvents})
+	// The machine counts cycles from the shard's base; rebase the events
+	// onto absolute cycles.
+	for i := range out.Events {
+		out.Events[i].Cycle += sh.BaseCycle
+		out.Events[i].Unit += sh.BaseCycle * rate
 	}
-	out.stallCycles = m.StallCycles()
-	out.flushes = m.Flushes()
-	out.summaries = m.Summaries()
+	out.KernelCycles = sh.OwnedCycles()
+	out.warmup = sh.WarmupCycles()
 	out.perPU = m.PerPU()
-	return out
 }
 
 func addPerPU(dst, src []core.PUStats) {

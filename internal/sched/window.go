@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 
-	"sunder/internal/automata"
 	"sunder/internal/core"
 	"sunder/internal/funcsim"
 )
@@ -116,7 +115,7 @@ func PlanWindows(spans []CycleSpan, totalCycles, alignCycles, overlapCycles int6
 // ParallelRun. Workers caps the goroutines; windows are striped across
 // them and each worker reuses one machine clone with a Reset between
 // windows.
-func WindowedRun(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim.Unit, shards []Shard, rc RunConfig) *RunResult {
+func WindowedRun(proto *core.Machine, units []funcsim.Unit, shards []Shard, rc RunConfig) *RunResult {
 	cfg := proto.Config()
 	units = funcsim.PadUnits(units, cfg.Rate)
 	res := &RunResult{Sharded: true}
@@ -141,7 +140,7 @@ func WindowedRun(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim
 		m := proto.Clone()
 		for i := w; i < len(shards); i += workers {
 			// A reused machine carries the previous window's region state
-			// and telemetry attachment; runShardOn re-attaches after its
+			// and telemetry attachment; runShard re-attaches after its
 			// warm-up so shared counters see owned cycles only.
 			m.AttachTelemetry(nil)
 			m.Reset()
@@ -149,7 +148,7 @@ func WindowedRun(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim
 			ws.SetAttr("window=" + strconv.Itoa(i) +
 				" warmup=" + strconv.FormatInt(shards[i].WarmupCycles(), 10) +
 				" owned=" + strconv.FormatInt(shards[i].OwnedCycles(), 10))
-			outs[i] = runShardOn(m, a, units, shards[i], rc)
+			runShard(m, units, shards[i], rc, nil, &outs[i])
 			ws.End()
 		}
 	}
@@ -167,31 +166,6 @@ func WindowedRun(proto *core.Machine, a *automata.UnitAutomaton, units []funcsim
 		wg.Wait()
 	}
 
-	nev := 0
-	for i := range outs {
-		nev += len(outs[i].events)
-	}
-	if rc.RecordEvents {
-		res.Events = make([]funcsim.ReportEvent, 0, nev)
-	}
-	for i := range outs {
-		o := &outs[i]
-		res.Events = append(res.Events, o.events...)
-		res.KernelCycles += shards[i].OwnedCycles()
-		res.Reports += o.reports
-		res.ReportCycles += o.reportCycles
-		if o.maxPerCycle > res.MaxReportsPerCycle {
-			res.MaxReportsPerCycle = o.maxPerCycle
-		}
-		res.StallCycles += o.stallCycles
-		res.Flushes += o.flushes
-		res.Summaries += o.summaries
-		res.WarmupCycles += o.warmup
-		if res.PerPU == nil {
-			res.PerPU = append([]core.PUStats(nil), o.perPU...)
-		} else {
-			addPerPU(res.PerPU, o.perPU)
-		}
-	}
+	res.merge(outs, rc.RecordEvents)
 	return res
 }

@@ -73,7 +73,7 @@ func TestWindowedRunFullCoverEqualsSequential(t *testing.T) {
 	overlap := Overlap(depth, align)
 	for _, workers := range []int{1, 3} {
 		shards := PlanWindows([]CycleSpan{{0, total}}, total, align, overlap)
-		rr := WindowedRun(proto, ua, units, shards, RunConfig{Workers: workers, RecordEvents: true})
+		rr := WindowedRun(proto, units, shards, RunConfig{Workers: workers, RecordEvents: true})
 		if rr.Reports != seq.Reports || rr.ReportCycles != seq.ReportCycles {
 			t.Fatalf("workers=%d: reports %d/%d, want %d/%d",
 				workers, rr.Reports, rr.ReportCycles, seq.Reports, seq.ReportCycles)
@@ -110,7 +110,7 @@ func TestWindowedRunSparseWindows(t *testing.T) {
 		spans = append(spans, CycleSpan{Start: ev.Cycle, End: ev.Cycle + 1})
 	}
 	shards := PlanWindows(spans, total, align, overlap)
-	rr := WindowedRun(proto, ua, units, shards, RunConfig{Workers: 4, RecordEvents: true})
+	rr := WindowedRun(proto, units, shards, RunConfig{Workers: 4, RecordEvents: true})
 	if rr.Reports != seq.Reports || rr.ReportCycles != seq.ReportCycles {
 		t.Fatalf("reports %d/%d, want %d/%d", rr.Reports, rr.ReportCycles, seq.Reports, seq.ReportCycles)
 	}

@@ -13,7 +13,7 @@ import (
 // exactly as well.
 func compareMinimized(t *testing.T, label string, base, min *ScanResult) {
 	t.Helper()
-	if !matchesEqual(sortedMatches(base.Matches), sortedMatches(min.Matches)) {
+	if !matchesEqual(base.Matches, min.Matches) {
 		t.Errorf("%s: matches diverged (%d baseline vs %d minimized)",
 			label, len(base.Matches), len(min.Matches))
 	}
@@ -46,13 +46,13 @@ func TestMinimizeDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := fromByteNFA(w.Automaton, DefaultOptions())
+		base, err := CompileAutomaton(w.Automaton, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		opts := DefaultOptions()
 		opts.Minimize = true
-		min, err := fromByteNFA(w.Automaton, opts)
+		min, err := CompileAutomaton(w.Automaton, opts)
 		if err != nil {
 			t.Fatalf("%s (minimized): %v", name, err)
 		}
@@ -98,7 +98,7 @@ func TestMinimizeDifferential(t *testing.T) {
 			}
 			stats := st.Close()
 			label := name + "/stream"
-			if !matchesEqual(sortedMatches(bseq.Matches), sortedMatches(got)) {
+			if !matchesEqual(bseq.Matches, got) {
 				t.Errorf("%s chunk=%d: matches diverged (%d vs %d)",
 					label, chunk, len(bseq.Matches), len(got))
 			}

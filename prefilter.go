@@ -72,7 +72,6 @@ type prefilterPlan struct {
 	rate   int // units per cycle
 	su     int // units per byte
 
-	depth   int  // dependence window, cycles
 	bounded bool // false: cyclic automaton, windows cannot bound warm-up
 	align   int64
 	overlap int64
@@ -85,11 +84,9 @@ type prefilterPlan struct {
 func (p *prefilterPlan) enabled() bool { return p != nil && p.scanner != nil }
 
 // newPrefilterPlan finishes an extraction into an executable plan for the
-// given engine geometry.
-func newPrefilterPlan(e *Engine, ex prefilter.Extraction) *prefilterPlan {
-	rate := e.machine.Config().Rate
-	su := e.nibble.SymbolUnits
-	p := &prefilterPlan{rate: rate, su: su}
+// artifact's geometry and dependence window (buildBackendShape's).
+func (a *artifact) newPrefilterPlan(ex prefilter.Extraction) *prefilterPlan {
+	p := &prefilterPlan{rate: a.nibble.Rate, su: a.nibble.SymbolUnits}
 	if !ex.OK {
 		p.strategy = "off"
 		p.reason = ex.Reason
@@ -103,38 +100,34 @@ func newPrefilterPlan(e *Engine, ex prefilter.Extraction) *prefilterPlan {
 		p.strategy += "+fold"
 	}
 	p.maxLit = ex.MaxLen
-	depth, bounded := sched.DependenceCycles(e.nibble)
-	p.depth, p.bounded = depth, bounded
-	p.align = sched.Alignment(rate, su)
+	depth := a.metaIn.DependenceWindow
+	p.bounded = a.metaIn.Bounded
+	p.align = sched.Alignment(p.rate, p.su)
 	p.overlap = sched.Overlap(depth, p.align)
-	if bounded {
-		p.maxMatchBytes = (int64(depth)+1)*int64(rate)/int64(su) + 2
+	if p.bounded {
+		p.maxMatchBytes = (int64(depth)+1)*int64(p.rate)/int64(p.su) + 2
 	}
 	return p
 }
 
-// buildPrefilter attaches a plan to a freshly compiled engine. The
-// automaton extractor handles any rule set (ANML included); when the rule
-// set came from regex patterns the AST extractor runs first and wins if it
-// succeeds — concatenation islands typically beat automaton suffix walks
-// on patterns with wide-class tails.
-func buildPrefilter(e *Engine, patterns []Pattern) {
-	if e.opts.Prefilter != PrefilterOn {
+// buildPrefilter attaches a plan to the artifact when Options.Prefilter is
+// on; it runs after buildBackendShape. When the rule set came from regex patterns the AST extractor runs
+// first and wins if it engages — concatenation islands typically beat
+// automaton suffix walks on patterns with wide-class tails; otherwise the
+// automaton extractor, which handles any rule set (ANML included), decides.
+func buildPrefilter(a *artifact, patterns []Pattern) {
+	if a.opts.Prefilter != PrefilterOn {
 		return
 	}
 	if len(patterns) > 0 {
 		if lits, fold, ok := requiredPatternLiterals(patterns); ok {
-			if pl := newPrefilterPlan(e, prefilter.FromLiteralsFold(lits, fold, prefilter.DefaultConfig())); pl.enabled() {
-				e.pre = pl
+			if pl := a.newPrefilterPlan(prefilter.FromLiteralsFold(lits, fold, prefilter.DefaultConfig())); pl.enabled() {
+				a.pre = pl
 				return
 			}
 		}
-		if e.pre != nil {
-			// Keep the automaton-derived plan fromByteNFA already built.
-			return
-		}
 	}
-	e.pre = newPrefilterPlan(e, prefilter.Extract(e.byteNFA, prefilter.DefaultConfig()))
+	a.pre = a.newPrefilterPlan(prefilter.Extract(a.byteNFA, prefilter.DefaultConfig()))
 }
 
 // requiredPatternLiterals unions the per-pattern AST literal sets; every
@@ -192,8 +185,9 @@ func (p *prefilterPlan) planSpans(input []byte, totalCycles int64, padUnits int)
 // planning, windowed execution on clones of the pristine compile artifact.
 // It never touches the engine's shared machine, so it serves Scan,
 // ScanParallel and ScanBatch alike.
-func (e *Engine) scanPrefiltered(input []byte, workers int) (*ScanResult, error) {
-	p := e.pre
+func (e *Engine) scanPrefiltered(input []byte, workers int) *ScanResult {
+	a := e.art
+	p := a.pre
 	units := funcsim.BytesToUnits(input, 4)
 	padded := funcsim.PadUnits(units, p.rate)
 	totalCycles := int64(len(padded) / p.rate)
@@ -205,60 +199,26 @@ func (e *Engine) scanPrefiltered(input []byte, workers int) (*ScanResult, error)
 		// No literal anywhere: the rule set cannot match, and no phantom
 		// pad report can fire. Skip the entire input.
 		notePrefilter(col, hits, 0, 0, totalCycles)
-		out := &ScanResult{
-			Stats: Stats{SkippedCycles: totalCycles},
-			PerPU: make([]PUStats, e.proto.NumPUs()),
-		}
-		for i := range out.PerPU {
-			out.PerPU[i].PU = i
-		}
-		return out, nil
+		return &ScanResult{Stats: Stats{SkippedCycles: totalCycles}, PerPU: a.idlePerPU()}
 	}
 
-	if !p.bounded {
+	rc := sched.RunConfig{Workers: workers, RecordEvents: true, Collector: col}
+	var rr *sched.RunResult
+	windows := int64(1)
+	if p.bounded {
+		shards := sched.PlanWindows(spans, totalCycles, p.align, p.overlap)
+		rr = sched.WindowedRun(a.proto, padded, shards, rc)
+		windows = int64(len(shards))
+	} else {
 		// Cyclic automaton: windows cannot bound warm-up replay, so a hit
 		// anywhere forces a full run. The filter still wins on hit-free
 		// inputs (handled above).
-		rr := sched.ParallelRun(e.proto, e.nibble, units, sched.RunConfig{
-			Workers: workers, RecordEvents: true, Collector: col,
-		})
-		notePrefilter(col, hits, 1, rr.KernelCycles, 0)
-		return e.resultFromRun(rr, len(units), 1, 0), nil
+		rr = sched.ParallelRun(a.proto, a.nibble, units, rc)
 	}
-
-	shards := sched.PlanWindows(spans, totalCycles, p.align, p.overlap)
-	rr := sched.WindowedRun(e.proto, e.nibble, padded, shards, sched.RunConfig{
-		Workers: workers, RecordEvents: true, Collector: col,
-	})
 	skipped := totalCycles - rr.KernelCycles
-	notePrefilter(col, hits, int64(len(shards)), rr.KernelCycles, skipped)
-	return e.resultFromRun(rr, len(units), int64(len(shards)), skipped), nil
-}
-
-// resultFromRun assembles a ScanResult from a scheduler run, applying the
-// same pad-tail phantom filter as the unfiltered paths.
-func (e *Engine) resultFromRun(rr *sched.RunResult, inputUnits int, windows, skipped int64) *ScanResult {
-	out := &ScanResult{
-		Stats: Stats{
-			KernelCycles:     rr.KernelCycles,
-			StallCycles:      rr.StallCycles,
-			Flushes:          rr.Flushes,
-			Reports:          rr.Reports,
-			ReportCycles:     rr.ReportCycles,
-			PrefilterWindows: windows,
-			SkippedCycles:    skipped,
-		},
-		PerPU: toPUStats(rr.PerPU),
-	}
-	for _, ev := range rr.Events {
-		if ev.Unit >= int64(inputUnits) {
-			continue
-		}
-		out.Matches = append(out.Matches, Match{
-			Position: ev.Unit / int64(e.nibble.SymbolUnits),
-			Code:     ev.Code,
-		})
-	}
+	notePrefilter(col, hits, windows, rr.KernelCycles, skipped)
+	out := a.result(&rr.Result, len(input), toPUStats(rr.PerPU))
+	out.Stats.PrefilterWindows, out.Stats.SkippedCycles = windows, skipped
 	return out
 }
 

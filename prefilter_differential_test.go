@@ -12,7 +12,7 @@ import (
 // kernel exactly (every cycle is either executed or provably match-free).
 func comparePrefiltered(t *testing.T, label string, base, filt *ScanResult) {
 	t.Helper()
-	if !matchesEqual(sortedMatches(base.Matches), sortedMatches(filt.Matches)) {
+	if !matchesEqual(base.Matches, filt.Matches) {
 		t.Errorf("%s: matches diverged (%d unfiltered vs %d filtered)",
 			label, len(base.Matches), len(filt.Matches))
 	}
@@ -45,12 +45,12 @@ func TestPrefilterDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := DefaultOptions()
-		base, err := fromByteNFA(w.Automaton, opts)
+		base, err := CompileAutomaton(w.Automaton, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		opts.Prefilter = PrefilterOn
-		filt, err := fromByteNFA(w.Automaton, opts)
+		filt, err := CompileAutomaton(w.Automaton, opts)
 		if err != nil {
 			t.Fatalf("%s (prefiltered): %v", name, err)
 		}
@@ -92,7 +92,7 @@ func TestPrefilterDifferential(t *testing.T) {
 			}
 			stats := st.Close()
 			label := name + "/stream"
-			if !matchesEqual(sortedMatches(bseq.Matches), sortedMatches(got)) {
+			if !matchesEqual(bseq.Matches, got) {
 				t.Errorf("%s chunk=%d: matches diverged (%d vs %d)",
 					label, chunk, len(bseq.Matches), len(got))
 			}
@@ -120,7 +120,7 @@ func TestPrefilterNoLiteralVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filt.pre.enabled() {
+	if filt.art.pre.enabled() {
 		t.Fatalf("expected no-filter verdict, got strategy %s", filt.Info().PrefilterStrategy)
 	}
 	info := filt.Info()
@@ -156,7 +156,7 @@ func TestPrefilterSkipsNoMatchInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.pre.enabled() {
+	if !eng.art.pre.enabled() {
 		t.Fatalf("filter not enabled: %s", eng.Info().PrefilterStrategy)
 	}
 	input := make([]byte, 100000)

@@ -94,7 +94,7 @@ func TestPrefilterFoldDifferential(t *testing.T) {
 			}
 		}
 		stats := st.Close()
-		if !matchesEqual(sortedMatches(bseq.Matches), sortedMatches(got)) {
+		if !matchesEqual(bseq.Matches, got) {
 			t.Errorf("fold/stream chunk=%d: matches diverged (%d vs %d)",
 				chunk, len(bseq.Matches), len(got))
 		}

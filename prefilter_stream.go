@@ -88,7 +88,7 @@ func newStreamFilter(s *Stream) *streamFilter {
 	// start-of-data injection suppressed on the shared machine; a fresh
 	// stream starts at true input start.
 	s.eng.machine.SuppressStartOfData(false)
-	return &streamFilter{s: s, p: s.eng.pre, hot: true}
+	return &streamFilter{s: s, p: s.eng.art.pre, hot: true}
 }
 
 // write scans the chunk for literals and advances execution up to the
@@ -188,8 +188,8 @@ func (f *streamFilter) skip(to int64) {
 	}
 }
 
-// exec steps cycles [from, to) with emission through the stream's
-// deduplicating emit, exactly as the unfiltered stream does.
+// exec steps cycles [from, to) with emission through the stream's emit,
+// exactly as the unfiltered stream does.
 func (f *streamFilter) exec(from, to int64) {
 	m := f.s.eng.machine
 	for c := from; c < to; c++ {

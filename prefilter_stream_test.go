@@ -20,7 +20,7 @@ func TestPrefilterStreamChunkEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.pre.enabled() {
+	if !eng.art.pre.enabled() {
 		t.Fatalf("filter not enabled: %s", eng.Info().PrefilterStrategy)
 	}
 	for _, chunk := range []int{1, 2, 7, 13, 64, 97} {
@@ -58,7 +58,7 @@ func TestPrefilterStreamChunkEdges(t *testing.T) {
 			}
 		}
 		stats := st.Close()
-		if !matchesEqual(sortedMatches(want.Matches), sortedMatches(got)) {
+		if !matchesEqual(want.Matches, got) {
 			t.Errorf("chunk=%d: stream matches %v != scan %v", chunk, got, want.Matches)
 		}
 		if stats.Reports != want.Stats.Reports || stats.ReportCycles != want.Stats.ReportCycles {
@@ -106,7 +106,7 @@ func TestPrefilterStreamTailLiteral(t *testing.T) {
 			}
 		}
 		stats := st.Close()
-		if !matchesEqual(sortedMatches(want.Matches), sortedMatches(got)) {
+		if !matchesEqual(want.Matches, got) {
 			t.Errorf("%q: stream matches %v != scan %v", input, got, want.Matches)
 		}
 		if stats.Reports != want.Stats.Reports || stats.ReportCycles != want.Stats.ReportCycles {
@@ -126,10 +126,10 @@ func TestPrefilterStreamUnboundedDeferred(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.pre.enabled() {
+	if !eng.art.pre.enabled() {
 		t.Fatalf("filter not enabled: %s", eng.Info().PrefilterStrategy)
 	}
-	if eng.pre.bounded {
+	if eng.art.pre.bounded {
 		t.Fatal("pattern must have an unbounded dependence window")
 	}
 
@@ -157,7 +157,7 @@ func TestPrefilterStreamUnboundedDeferred(t *testing.T) {
 			}
 		}
 		stats := st.Close()
-		if !matchesEqual(sortedMatches(want.Matches), sortedMatches(got)) {
+		if !matchesEqual(want.Matches, got) {
 			t.Errorf("chunk=%d: matches %v != %v", chunk, got, want.Matches)
 		}
 		if stats.Reports != want.Stats.Reports || stats.ReportCycles != want.Stats.ReportCycles {
@@ -191,16 +191,16 @@ func TestPrefilterStreamDeferredBufferFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.pre.enabled() || eng.pre.bounded {
+	if !eng.art.pre.enabled() || eng.art.pre.bounded {
 		t.Fatalf("want engaged unbounded filter, got %s bounded=%v",
-			eng.Info().PrefilterStrategy, eng.pre.bounded)
+			eng.Info().PrefilterStrategy, eng.art.pre.bounded)
 	}
 	st, err := eng.NewStream(func(m Match) { t.Errorf("unexpected match %+v", m) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Literal-free filler: > maxDeferredUnits units (su units per byte).
-	su := eng.nibble.SymbolUnits
+	su := eng.art.nibble.SymbolUnits
 	chunk := make([]byte, 64<<10)
 	for i := range chunk {
 		chunk[i] = 'x'

@@ -16,7 +16,7 @@ func TestPrefilterTelemetryExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.pre.enabled() {
+	if !eng.art.pre.enabled() {
 		t.Fatalf("filter not enabled: %s", eng.Info().PrefilterStrategy)
 	}
 	tel := NewTelemetry(TelemetryOptions{})

@@ -1,26 +1,13 @@
 package sunder
 
 import (
-	"sort"
 	"testing"
 
 	"sunder/internal/workload"
 )
 
-// sortedMatches returns a position-then-code sorted copy for order-free
-// comparison: pruning may reorder same-cycle matches across PUs, which is
-// not an observable property of the scan API.
-func sortedMatches(ms []Match) []Match {
-	out := append([]Match(nil), ms...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Position != out[j].Position {
-			return out[i].Position < out[j].Position
-		}
-		return out[i].Code < out[j].Code
-	})
-	return out
-}
-
+// matchesEqual compares two match slices in exact order: every substrate
+// returns ascending (Position, Code), so order is part of the contract.
 func matchesEqual(a, b []Match) bool {
 	if len(a) != len(b) {
 		return false
@@ -50,12 +37,12 @@ func TestPruneDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := DefaultOptions()
-		base, err := fromByteNFA(w.Automaton, opts)
+		base, err := CompileAutomaton(w.Automaton, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		opts.Prune = true
-		pruned, err := fromByteNFA(w.Automaton, opts)
+		pruned, err := CompileAutomaton(w.Automaton, opts)
 		if err != nil {
 			t.Fatalf("%s (pruned): %v", name, err)
 		}
@@ -71,7 +58,7 @@ func TestPruneDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !matchesEqual(sortedMatches(bseq.Matches), sortedMatches(pseq.Matches)) {
+		if !matchesEqual(bseq.Matches, pseq.Matches) {
 			t.Errorf("%s: sequential matches diverged after pruning (%d vs %d)",
 				name, len(bseq.Matches), len(pseq.Matches))
 		}
@@ -89,7 +76,7 @@ func TestPruneDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !matchesEqual(sortedMatches(bpar.Matches), sortedMatches(ppar.Matches)) {
+		if !matchesEqual(bpar.Matches, ppar.Matches) {
 			t.Errorf("%s: parallel matches diverged after pruning (%d vs %d)",
 				name, len(bpar.Matches), len(ppar.Matches))
 		}
@@ -111,7 +98,7 @@ func TestPruneOptionShrinksLevenshtein(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Prune = true
-	eng, err := fromByteNFA(w.Automaton, opts)
+	eng, err := CompileAutomaton(w.Automaton, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

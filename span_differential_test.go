@@ -24,7 +24,7 @@ func TestSpanDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := fromByteNFA(w.Automaton, DefaultOptions())
+		eng, err := CompileAutomaton(w.Automaton, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -58,7 +58,7 @@ func TestSpanDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !matchesEqual(sortedMatches(baseSeq.Matches), sortedMatches(seq.Matches)) ||
+			if !matchesEqual(baseSeq.Matches, seq.Matches) ||
 				seq.Stats != baseSeq.Stats {
 				t.Errorf("%s/%s: sequential scan diverged under tracing", name, mode.label)
 			}
@@ -66,7 +66,7 @@ func TestSpanDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !matchesEqual(sortedMatches(basePar.Matches), sortedMatches(par.Matches)) ||
+			if !matchesEqual(basePar.Matches, par.Matches) ||
 				par.Stats != basePar.Stats {
 				t.Errorf("%s/%s: parallel scan diverged under tracing", name, mode.label)
 			}
@@ -75,7 +75,7 @@ func TestSpanDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range got {
-				if !matchesEqual(sortedMatches(baseBatch[i].Matches), sortedMatches(got[i].Matches)) ||
+				if !matchesEqual(baseBatch[i].Matches, got[i].Matches) ||
 					got[i].Stats != baseBatch[i].Stats {
 					t.Errorf("%s/%s: batch input %d diverged under tracing", name, mode.label, i)
 				}
@@ -104,7 +104,7 @@ func TestSpanExportsFromScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := fromByteNFA(w.Automaton, DefaultOptions())
+	eng, err := CompileAutomaton(w.Automaton, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ var ErrClosedStream = errors.New("sunder: write to closed stream")
 // Stream scans input incrementally — the deployment mode of network
 // intrusion detection, where packets arrive one at a time and matches must
 // surface immediately. It implements io.Writer; matches are delivered to
-// the OnMatch callback as they occur.
+// the OnMatch callback as they occur, in the order Scan returns them.
 //
 // With a fault policy armed on the engine, the stream runs under the
 // recovery guard: matches are delivered when their checkpoint window
@@ -40,27 +40,20 @@ type Stream struct {
 	// filtStats memoizes the filtered Close result (Close is idempotent).
 	filtStats Stats
 	// dfaRun is the engine's sequential lazy-DFA runner; non-nil when the
-	// resolved backend is "dfa" (and neither a fault guard nor the
-	// prefilter owns the stream). pendB then buffers the bytes of an
+	// stream runs on the "dfa" backend. pendB then buffers the bytes of an
 	// incomplete cycle and dfaCycles counts cycles stepped.
 	dfaRun    *dfa.Runner
 	pendB     []byte
 	dfaCycles int64
 	scratch   []automata.StateID
-	// seen is emit's per-cycle dedup set; nil on DFA streams, whose
-	// emission rows arrive deduplicated.
-	seen    map[streamKey]bool
+	// row is emit's emission-row buffer.
+	row     []automata.Report
 	bytesIn int64
 	closed  bool
 	// reports / reportCycles accumulate the same per-cycle deduplicated
 	// counts as Engine.Scan, so Close returns identical Stats.
 	reports      int64
 	reportCycles int64
-}
-
-type streamKey struct {
-	offset uint8
-	origin int32
 }
 
 // NewStream resets the engine and returns a streaming scanner. onMatch may
@@ -72,28 +65,26 @@ type streamKey struct {
 // Engine.Clone — clones share the compiled artifacts, so this is cheap.
 func (e *Engine) NewStream(onMatch func(Match)) (*Stream, error) {
 	s := &Stream{eng: e, onMatch: onMatch}
-	if e.injector != nil {
+	how, _ := e.route("")
+	if how == routeGuarded {
 		g, err := e.newGuard()
 		if err != nil {
 			return nil, err
 		}
 		g.OnReportCycle(s.emit)
 		s.guard = g
-	} else {
-		e.machine.Reset()
-		if e.pre.enabled() {
-			s.filt = newStreamFilter(s)
-		} else if e.backend == meta.BackendDFA {
-			// Streams are inherently sequential, so the "parallel" backend
-			// streams on the machine like "nfa"; only "dfa" changes
-			// substrate. Its emission rows arrive deduplicated, so the
-			// stream needs no seen map.
-			s.dfaRun = e.dfaRunnerFor()
-			s.dfaRun.Reset()
-			return s, nil
-		}
+		return s, nil
 	}
-	s.seen = make(map[streamKey]bool)
+	e.machine.Reset()
+	switch how {
+	case routePrefilter:
+		s.filt = newStreamFilter(s)
+	case meta.BackendDFA:
+		// Streams are inherently sequential, so the "parallel" backend
+		// streams on the machine like "nfa"; only "dfa" changes substrate.
+		s.dfaRun = e.dfaRunner(e.art)
+		s.dfaRun.Reset()
+	}
 	return s, nil
 }
 
@@ -153,7 +144,7 @@ func (s *Stream) consume() {
 // consumeDFA executes all complete cycles in the buffered bytes on the
 // lazy DFA.
 func (s *Stream) consumeDFA() {
-	sb := s.eng.dfaPlan.StepBytes()
+	sb := s.eng.art.dfaPlan.StepBytes()
 	off := 0
 	for off+sb <= len(s.pendB) {
 		s.stepDFA(s.pendB[off:off+sb], 0)
@@ -167,30 +158,15 @@ func (s *Stream) flushDFA() {
 	if len(s.pendB) == 0 {
 		return
 	}
-	s.stepDFA(s.pendB, s.eng.dfaPlan.StepBytes()-len(s.pendB))
+	s.stepDFA(s.pendB, s.eng.art.dfaPlan.StepBytes()-len(s.pendB))
 	s.pendB = s.pendB[:0]
 }
 
-// stepDFA executes one cycle on the lazy DFA and delivers its emission
-// row, which is already deduplicated and in (Position, Code) order.
+// stepDFA executes one cycle on the lazy DFA and emits its row.
 func (s *Stream) stepDFA(data []byte, pad int) {
-	start := s.dfaCycles * int64(s.eng.dfaPlan.StepBytes())
 	s.dfaCycles++
-	row := s.dfaRun.Step(data, pad)
-	if len(row) == 0 {
-		return
-	}
-	s.reports += int64(len(row))
-	s.reportCycles++
-	if s.onMatch == nil {
-		return
-	}
-	for _, rep := range row {
-		// Same phantom filter as emit: a report ending past the bytes
-		// written so far sits in the pad tail of the final cycle.
-		if pos := start + dfa.ReportByte(rep); pos < s.bytesIn {
-			s.onMatch(Match{Position: pos, Code: rep.Code})
-		}
+	if row := s.dfaRun.Step(data, pad); len(row) > 0 {
+		s.emitRow(s.dfaCycles-1, row)
 	}
 }
 
@@ -203,35 +179,32 @@ func (s *Stream) step(vec []funcsim.Unit) {
 	s.emit(cycle, s.scratch)
 }
 
-// emit deduplicates one report cycle's states by (offset, origin) — the
-// same per-cycle semantics as Engine.Scan — and delivers the matches.
+// emit emits one device report cycle: the emission row of its reporting
+// states.
 func (s *Stream) emit(cycle int64, ids []automata.StateID) {
-	clear(s.seen)
-	rate := int64(s.eng.machine.Config().Rate)
-	for _, id := range ids {
-		for _, r := range s.eng.nibble.States[id].Reports {
-			k := streamKey{offset: r.Offset, origin: r.Origin}
-			if s.seen[k] {
-				continue
-			}
-			s.seen[k] = true
-			s.reports++
-			if s.onMatch == nil {
-				continue
-			}
-			// A report ending past the bytes written so far sits in the pad
-			// tail of the final vector — phantom, not a real occurrence.
-			unit := cycle*rate + int64(r.Offset)
-			if unit >= s.bytesIn*int64(s.eng.nibble.SymbolUnits) {
-				continue
-			}
-			s.onMatch(Match{
-				Position: unit / int64(s.eng.nibble.SymbolUnits),
-				Code:     r.Code,
-			})
-		}
-	}
+	s.row = s.eng.art.nibble.EmissionRow(s.row, ids)
+	s.emitRow(cycle, s.row)
+}
+
+// emitRow counts one cycle's emission row and delivers its matches in row
+// order, ascending (Position, Code). A report ending past the bytes
+// written so far sits in the pad tail of the final cycle — phantom, not a
+// real occurrence — and, rows ascending by position, so does the rest of
+// the row.
+func (s *Stream) emitRow(cycle int64, row []automata.Report) {
+	s.reports += int64(len(row))
 	s.reportCycles++
+	if s.onMatch == nil {
+		return
+	}
+	base, n, onMatch := cycle*s.eng.art.cycleUnits, s.bytesIn, s.onMatch
+	for _, rep := range row {
+		pos := bytePos(base + int64(rep.Offset))
+		if pos >= n {
+			return
+		}
+		onMatch(Match{Position: pos, Code: rep.Code})
+	}
 }
 
 // Close pads and executes the final partial vector (matches ending on the
@@ -292,14 +265,7 @@ func (s *Stream) Faults() *FaultReport {
 	if s.guard == nil {
 		return nil
 	}
-	fstats := s.guard.Stats()
-	return &FaultReport{
-		Injected:       fstats.Injected.Total(),
-		Detected:       fstats.Detected(),
-		Recoveries:     fstats.Recoveries,
-		QuarantinedPUs: fstats.QuarantinedPUs,
-		Slowdown:       fstats.Slowdown(),
-	}
+	return faultReport(s.guard.Stats())
 }
 
 // BytesIn returns the number of input bytes consumed so far.

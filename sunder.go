@@ -27,6 +27,7 @@ package sunder
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync/atomic"
 
 	"sunder/internal/analysis"
@@ -97,7 +98,8 @@ type Options struct {
 	// makes Scan shard across workers like ScanParallel; "auto" resolves
 	// among them at compile time from the analyzer's shape statistics (see
 	// Info().Backend for the choice and its reason). Every backend produces
-	// byte-identical matches and Reports/ReportCycles accounting. "dfa"
+	// byte-identical matches, in the same ascending (Position, Code) order,
+	// and the same Reports/ReportCycles accounting. "dfa"
 	// requires whole-byte cycles (Rate 2 or 4) and fails compilation
 	// otherwise; "auto" never fails. An armed fault policy or an engaged
 	// literal prefilter takes precedence over the backend at scan time.
@@ -149,13 +151,11 @@ func (s Stats) Overhead() float64 {
 
 // ScanResult holds the matches and statistics of one scan.
 type ScanResult struct {
-	// Matches are the scan's matches. On the "dfa" backend they come in
-	// ascending (Position, Code) order, independent of the engine's DFA
-	// cache history: a warm engine and a fresh Clone return identical
-	// slices. The other substrates return device order (per cycle, in the
-	// order the device lists its reporting states) until one order is
-	// shared by every substrate; the multiset of matches is the same on
-	// all of them.
+	// Matches are the scan's matches in ascending (Position, Code) order —
+	// one order on every substrate and entry point (nfa, dfa, parallel,
+	// prefiltered, fault-guarded; Scan, ScanParallel, ScanBatch, Stream),
+	// independent of the engine's DFA cache history: a warm engine and a
+	// fresh Clone return identical slices.
 	Matches []Match
 	Stats   Stats
 	// PerPU breaks the device activity down by processing unit; summing
@@ -175,35 +175,49 @@ type ScanResult struct {
 // artifact), so any number of them may run concurrently with each other;
 // use Clone to get independent engines for concurrent sequential use.
 type Engine struct {
-	opts    Options
-	byteNFA *automata.Automaton
-	nibble  *automata.UnitAutomaton
-	machine *core.Machine
-	// proto is the never-executed machine produced at compile time; the
-	// parallel paths clone workers from it (cloning e.machine would race
-	// with sequential scans mutating it).
-	proto *core.Machine
+	art *artifact
+	// lane is the machine and lazy-DFA runner of the sequential entry
+	// points (Scan, NewStream); the parallel paths never touch it.
+	lane
+	// place is the current placement: the compile-time one until a fault
+	// guard's quarantine replaces it (adoptGuard).
 	place *mapping.Placement
 	// faultPol/injector are armed by SetFaultPolicy; with an injector set,
 	// scans run under the fault-recovery guard.
 	faultPol *faults.Policy
 	injector *faults.Injector
+	// tel mirrors the collector attached by SetTelemetry. The parallel
+	// paths read it instead of e.machine.Telemetry(): they promise never to
+	// touch the shared machine, which a concurrent sequential scan may be
+	// mutating (and, under a fault guard, replacing outright).
+	tel atomic.Pointer[telemetry.Collector]
+}
+
+// artifact is everything compilation produces. It is immutable once
+// compiled and shared by every engine built from it — clones and compile-
+// cache hits — which only add per-engine state.
+type artifact struct {
+	opts    Options
+	byteNFA *automata.Automaton
+	nibble  *automata.UnitAutomaton
+	// cycleUnits is the units a cycle consumes (the rate).
+	cycleUnits int64
+	// proto is the never-executed machine produced at compile time; every
+	// machine an engine or a parallel worker steps is a clone of it.
+	proto *core.Machine
+	// place is the compile-time placement.
+	place *mapping.Placement
 	// pruned counts the dead states removed at compile time (Options.Prune,
 	// plus the prune rounds inside Options.Minimize).
 	pruned int
 	// minSum is the digest of the certified minimization run (zero value
 	// unless Options.Minimize was set); symClasses is the verified symbol-
 	// equivalence class count of the byte automaton (its effective alphabet
-	// size), zero unless Minimize computed it.
+	// size), zero unless Minimize was set.
 	minSum     analysis.MinimizeSummary
 	symClasses int
-	// tel mirrors the collector attached by SetTelemetry. The parallel
-	// paths read it instead of e.machine.Telemetry(): they promise never to
-	// touch the shared machine, which a concurrent sequential scan may be
-	// mutating (and, under a fault guard, replacing outright).
-	tel atomic.Pointer[telemetry.Collector]
 	// pre is the compiled literal-prefilter plan; nil unless
-	// Options.Prefilter is on. Immutable after compile, shared by clones.
+	// Options.Prefilter is on.
 	pre *prefilterPlan
 	// backend is the resolved scan backend (meta.Backend* constant) and
 	// backendNote its Info() annotation; autoChoice is what "auto" resolves
@@ -214,11 +228,29 @@ type Engine struct {
 	autoChoice  meta.Choice
 	metaIn      meta.Inputs
 	// dfaPlan is the lazy-DFA stepping plan (nil when the geometry is
-	// unsupported; immutable, shared by clones). dfaRunner is the
-	// sequential-path runner, built lazily — like the shared machine it
-	// belongs to Scan/NewStream and is never touched by the parallel paths.
-	dfaPlan   *dfa.Plan
-	dfaRunner *dfa.Runner
+	// unsupported).
+	dfaPlan *dfa.Plan
+}
+
+// newEngine returns a fresh engine on the artifact: its own pristine
+// machine, no DFA runner yet, no fault policy or telemetry.
+func (a *artifact) newEngine() *Engine {
+	return &Engine{art: a, lane: lane{machine: a.proto.Clone()}, place: a.place}
+}
+
+// lane is one sequential execution context: a machine, and a lazy-DFA
+// runner built on first use. The engine has one for Scan and NewStream;
+// ScanBatch gives each worker its own.
+type lane struct {
+	machine *core.Machine
+	runner  *dfa.Runner
+}
+
+func (l *lane) dfaRunner(a *artifact) *dfa.Runner {
+	if l.runner == nil {
+		l.runner = dfa.NewRunner(a.dfaPlan, dfa.DefaultConfig())
+	}
+	return l.runner
 }
 
 // Compile builds an Engine from a pattern set.
@@ -231,18 +263,7 @@ func Compile(patterns []Pattern, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := fromByteNFA(nfa, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Re-derive the prefilter from the pattern ASTs, which usually beat
-	// the automaton suffix walk fromByteNFA already ran (see buildPrefilter),
-	// then re-resolve the backend: "auto" defers to an engaged prefilter.
-	buildPrefilter(eng, patterns)
-	if err := resolveBackend(eng); err != nil {
-		return nil, err
-	}
-	return eng, nil
+	return compile(nfa, patterns, opts)
 }
 
 // CompileANML builds an Engine from an ANML automata network (the Micron
@@ -252,10 +273,22 @@ func CompileANML(r io.Reader, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromByteNFA(nfa, opts)
+	return compile(nfa, nil, opts)
 }
 
-func fromByteNFA(nfa *automata.Automaton, opts Options) (*Engine, error) {
+// CompileAutomaton builds an Engine directly from a byte-level automaton —
+// the entry point for rule sets constructed programmatically (the workload
+// generators, custom frontends) rather than from regex patterns or ANML.
+func CompileAutomaton(nfa *automata.Automaton, opts Options) (*Engine, error) {
+	return compile(nfa, nil, opts)
+}
+
+// compile is the one compile pipeline: nibble transformation and striding,
+// optional pruning and certified minimization, placement, configuration,
+// backend shape, prefilter plan and backend resolution, each run once.
+// patterns are the rule set's regex patterns (nil for ANML and automaton
+// input); the prefilter prefers their AST literals.
+func compile(nfa *automata.Automaton, patterns []Pattern, opts Options) (*Engine, error) {
 	if opts.Rate == 0 {
 		opts.Rate = 4
 	}
@@ -263,12 +296,10 @@ func fromByteNFA(nfa *automata.Automaton, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pruned int
+	a := &artifact{opts: opts, byteNFA: nfa, nibble: ua, cycleUnits: int64(ua.Rate)}
 	if opts.Prune {
-		pruned = analysis.Prune(ua).Removed()
+		a.pruned = analysis.Prune(ua).Removed()
 	}
-	var minSum analysis.MinimizeSummary
-	var symClasses int
 	if opts.Minimize {
 		pre := ua.Clone()
 		res := analysis.Minimize(ua)
@@ -278,13 +309,8 @@ func fromByteNFA(nfa *automata.Automaton, opts Options) (*Engine, error) {
 		if err := analysis.CheckCertificate(pre, ua, res.Cert); err != nil {
 			return nil, fmt.Errorf("sunder: minimization certificate rejected: %w", err)
 		}
-		sc := analysis.SymbolClasses(nfa)
-		if err := analysis.CheckSymbolClasses(nfa, sc); err != nil {
-			return nil, fmt.Errorf("sunder: symbol-class certificate rejected: %w", err)
-		}
-		minSum = res.Summary()
-		symClasses = sc.Count()
-		pruned += res.Pruned
+		a.minSum = res.Summary()
+		a.pruned += res.Pruned
 	}
 	cfg := core.DefaultConfig(opts.Rate)
 	if opts.ReportColumns > 0 {
@@ -300,33 +326,20 @@ func fromByteNFA(nfa *automata.Automaton, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("sunder: rule set does not fit the device: %w", err)
 	}
 	cfg.ReportColumns = budget
-	place, err := mapping.Place(ua, cfg.ReportColumns)
-	if err != nil {
+	if a.place, err = mapping.Place(ua, cfg.ReportColumns); err != nil {
 		return nil, fmt.Errorf("sunder: rule set does not fit the device: %w", err)
 	}
-	m, err := core.Configure(ua, place, cfg)
-	if err != nil {
+	if a.proto, err = core.Configure(ua, a.place, cfg); err != nil {
 		return nil, err
 	}
-	eng := &Engine{
-		opts: opts, byteNFA: nfa, nibble: ua, machine: m, proto: m.Clone(),
-		place: place, pruned: pruned, minSum: minSum, symClasses: symClasses,
-	}
-	if err := buildBackendShape(eng); err != nil {
+	if err := buildBackendShape(a); err != nil {
 		return nil, err
 	}
-	buildPrefilter(eng, nil)
-	if err := resolveBackend(eng); err != nil {
+	buildPrefilter(a, patterns)
+	if err := resolveBackend(a); err != nil {
 		return nil, err
 	}
-	return eng, nil
-}
-
-// CompileAutomaton builds an Engine directly from a byte-level automaton —
-// the entry point for rule sets constructed programmatically (the workload
-// generators, custom frontends) rather than from regex patterns or ANML.
-func CompileAutomaton(nfa *automata.Automaton, opts Options) (*Engine, error) {
-	return fromByteNFA(nfa, opts)
+	return a.newEngine(), nil
 }
 
 // Analyze runs the static IR analyzer over the engine's compiled automaton
@@ -334,8 +347,8 @@ func CompileAutomaton(nfa *automata.Automaton, opts Options) (*Engine, error) {
 // given sample (may be nil). The report is advisory; a compiled engine has
 // already passed the structural checks Configure enforces.
 func (e *Engine) Analyze(sample []byte) *analysis.Report {
-	return analysis.Analyze(e.nibble, analysis.Options{
-		Source:        e.byteNFA,
+	return analysis.Analyze(e.art.nibble, analysis.Options{
+		Source:        e.art.byteNFA,
 		Placement:     e.place,
 		ReportColumns: e.machine.Config().ReportColumns,
 		EquivSample:   sample,
@@ -346,49 +359,96 @@ func (e *Engine) Analyze(sample []byte) *analysis.Report {
 // match (the byte position where an occurrence ends, with its rule code)
 // and the device statistics.
 func (e *Engine) Scan(input []byte) (*ScanResult, error) {
-	if e.injector != nil {
-		return e.scanGuarded(funcsim.BytesToUnits(input, 4))
+	how, _ := e.route("")
+	return e.scanOn(&e.lane, input, how)
+}
+
+// Scan routes beyond the backends: an armed fault policy, then an engaged
+// literal prefilter, take precedence over any backend.
+const (
+	routeGuarded   = "guarded"
+	routePrefilter = "prefilter"
+)
+
+// route resolves how a scan or stream runs — fault guard, then prefilter,
+// then the backend — where override is the per-call ScanOptions.Backend
+// ("" keeps the compiled choice). An invalid override is an error on every
+// route.
+func (e *Engine) route(override string) (string, error) {
+	backend, err := e.art.effectiveBackend(override)
+	switch {
+	case err != nil:
+		return "", err
+	case e.injector != nil:
+		return routeGuarded, nil
+	case e.art.pre.enabled():
+		return routePrefilter, nil
 	}
-	if e.pre.enabled() {
-		// The filtered path runs on clones of the pristine compile
-		// artifact: the shared machine (and with it Summarize/ReadReports
-		// state) is left untouched.
-		return e.scanPrefiltered(input, 1)
-	}
-	switch e.backend {
+	return backend, nil
+}
+
+// scanOn is Scan's sequential body on lane l along route how. The
+// prefilter and the "parallel" backend run on clones of the pristine
+// compile artifact and leave the lane alone.
+func (e *Engine) scanOn(l *lane, input []byte, how string) (*ScanResult, error) {
+	switch how {
+	case routeGuarded:
+		return e.scanGuarded(input)
+	case routePrefilter:
+		return e.scanPrefiltered(input, 1), nil
 	case meta.BackendDFA:
-		return e.scanDFA(input), nil
+		return e.art.scanDFA(l.dfaRunner(e.art), input), nil
 	case meta.BackendParallel:
-		return e.scanSharded(input, ScanOptions{})
+		return e.scanSharded(input, runtime.GOMAXPROCS(0)), nil
 	}
-	e.machine.Reset()
-	units := funcsim.BytesToUnits(input, 4)
-	res := e.machine.Run(units, core.RunOptions{RecordEvents: true})
+	l.machine.Reset()
+	r := l.machine.Run(funcsim.BytesToUnits(input, 4), core.RunOptions{RecordEvents: true})
+	return e.art.result(r, len(input), toPUStats(l.machine.PerPU())), nil
+}
+
+// result is the one assembler of device-run results: r's Stats, and its
+// events as matches in event order, which is ascending (Position, Code)
+// because every reporting cycle contributes one emission row. Events
+// ending at or past byte n are pad-tail phantoms (a Pad unit satisfies
+// any-symbol positions like `.`); they count in Reports but are not
+// matches, and, the order being by position, they are the events' suffix.
+func (a *artifact) result(r *core.Result, n int, perPU []PUStats) *ScanResult {
+	ev := r.Events
+	for len(ev) > 0 && bytePos(ev[len(ev)-1].Unit) >= int64(n) {
+		ev = ev[:len(ev)-1]
+	}
 	out := &ScanResult{
 		Stats: Stats{
-			KernelCycles: res.KernelCycles,
-			StallCycles:  res.StallCycles,
-			Flushes:      res.Flushes,
-			Reports:      res.Reports,
-			ReportCycles: res.ReportCycles,
+			KernelCycles: r.KernelCycles,
+			StallCycles:  r.StallCycles,
+			Flushes:      r.Flushes,
+			Reports:      r.Reports,
+			ReportCycles: r.ReportCycles,
 		},
-		PerPU: e.PerPU(),
+		PerPU: perPU,
 	}
-	if len(res.Events) > 0 {
-		out.Matches = make([]Match, 0, len(res.Events))
-	}
-	for _, ev := range res.Events {
-		// Drop phantom matches that "end" in the pad tail of the last
-		// vector (a Pad unit satisfies any-symbol positions like `.`).
-		if ev.Unit >= int64(len(units)) {
-			continue
+	if len(ev) > 0 {
+		out.Matches = make([]Match, len(ev))
+		for i, v := range ev {
+			out.Matches[i] = Match{Position: bytePos(v.Unit), Code: v.Code}
 		}
-		out.Matches = append(out.Matches, Match{
-			Position: ev.Unit / int64(e.nibble.SymbolUnits),
-			Code:     ev.Code,
-		})
 	}
-	return out, nil
+	return out
+}
+
+// bytePos is the input byte a report at the given unit index ends on:
+// input enters every substrate as 4-bit units, two per byte
+// (funcsim.BytesToUnits(input, 4)).
+func bytePos(unit int64) int64 { return unit >> 1 }
+
+// idlePerPU is the per-PU breakdown of a scan that stepped no device: the
+// lazy DFA, or a prefiltered scan that skipped everything.
+func (a *artifact) idlePerPU() []PUStats {
+	out := make([]PUStats, a.proto.NumPUs())
+	for i := range out {
+		out[i].PU = i
+	}
+	return out
 }
 
 // Summarize returns, per rule code, whether the rule has fired since the
@@ -398,7 +458,7 @@ func (e *Engine) Scan(input []byte) (*ScanResult, error) {
 func (e *Engine) Summarize() map[int32]bool {
 	out := make(map[int32]bool)
 	for s := range e.machine.Summarize() {
-		for _, r := range e.nibble.States[s].Reports {
+		for _, r := range e.art.nibble.States[s].Reports {
 			out[r.Code] = true
 		}
 	}
@@ -409,7 +469,7 @@ func (e *Engine) Summarize() map[int32]bool {
 // simulator and the original byte automaton on the given input, returning
 // an error on any divergence. It exists for validation and tests.
 func (e *Engine) Verify(input []byte) error {
-	return transform.EquivalentOnInput(e.byteNFA, e.nibble, input)
+	return transform.EquivalentOnInput(e.art.byteNFA, e.art.nibble, input)
 }
 
 // Info describes the compiled configuration.
@@ -474,7 +534,7 @@ type ReportRecord struct {
 func (e *Engine) ReadReports() []ReportRecord {
 	var out []ReportRecord
 	rate := int64(e.machine.Config().Rate)
-	symbolUnits := int64(e.nibble.SymbolUnits)
+	symbolUnits := int64(e.art.nibble.SymbolUnits)
 	for pu := 0; pu < e.machine.NumPUs(); pu++ {
 		for _, rec := range e.machine.ReadReports(pu) {
 			r := ReportRecord{
@@ -484,7 +544,7 @@ func (e *Engine) ReadReports() []ReportRecord {
 			}
 			seen := map[int32]bool{}
 			for _, s := range rec.States {
-				for _, rep := range e.nibble.States[s].Reports {
+				for _, rep := range e.art.nibble.States[s].Reports {
 					if !seen[rep.Code] {
 						seen[rep.Code] = true
 						r.Codes = append(r.Codes, rep.Code)
@@ -499,20 +559,20 @@ func (e *Engine) ReadReports() []ReportRecord {
 
 // Info returns the engine's compiled configuration.
 func (e *Engine) Info() Info {
-	strategy, lits := e.pre.describe()
+	strategy, lits := e.art.pre.describe()
 	return Info{
-		Rate:              e.opts.Rate,
-		ByteStates:        e.byteNFA.NumStates(),
-		DeviceStates:      e.nibble.NumStates(),
+		Rate:              e.art.opts.Rate,
+		ByteStates:        e.art.byteNFA.NumStates(),
+		DeviceStates:      e.art.nibble.NumStates(),
 		PUs:               e.machine.NumPUs(),
 		ReportColumns:     e.machine.Config().ReportColumns,
 		RegionCapacity:    e.machine.Config().RegionCapacity(),
-		PrunedStates:      e.pruned,
-		MergedStates:      e.minSum.BisimMerged + e.minSum.PrefixMerged,
-		SymbolClasses:     e.symClasses,
+		PrunedStates:      e.art.pruned,
+		MergedStates:      e.art.minSum.BisimMerged + e.art.minSum.PrefixMerged,
+		SymbolClasses:     e.art.symClasses,
 		PrefilterStrategy: strategy,
 		PrefilterLiterals: lits,
-		Backend:           e.backendNote,
+		Backend:           e.art.backendNote,
 		DFAStates:         int(e.DFAStats().States),
 	}
 }
@@ -522,5 +582,5 @@ func (e *Engine) Info() Info {
 // the configured bits per cycle, divided by the given reporting overhead
 // (use ScanResult.Stats.Overhead(), or 1 for the stall-free bound).
 func (e *Engine) ThroughputGbps(overhead float64) float64 {
-	return hardware.ThroughputAtRate(4*e.opts.Rate, overhead)
+	return hardware.ThroughputAtRate(4*e.art.opts.Rate, overhead)
 }
