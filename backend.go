@@ -5,7 +5,10 @@ import (
 
 	"sunder/internal/analysis"
 	"sunder/internal/automata"
+	"sunder/internal/core"
 	"sunder/internal/dfa"
+	"sunder/internal/faults"
+	"sunder/internal/funcsim"
 	"sunder/internal/meta"
 	"sunder/internal/sched"
 )
@@ -92,39 +95,160 @@ func (a *artifact) effectiveBackend(override string) (string, error) {
 	return override, nil
 }
 
-// scanDFA executes input cycle by cycle on the lazy-DFA runner r,
-// reproducing the device's Reports/ReportCycles accounting exactly.
-// KernelCycles equals the device's padded cycle count; StallCycles,
-// Flushes and the PerPU breakdown are artifacts of the simulated report
-// region and are reported as zero — the same documented divergence as
+// executor is the one sequential run on a lane. Scan (one write of the
+// whole input, then close), ScanBatch workers, ScanParallel's dfa route and
+// Stream all drive it, on the nfa, dfa or guarded route. It steps whole
+// cycles directly from the caller's bytes, carrying at most one incomplete
+// cycle between writes, and every cycle's emission row goes to rows.
+//
+// On the dfa route KernelCycles is the device's padded cycle count, and
+// StallCycles, Flushes and the PerPU breakdown — artifacts of the simulated
+// report region — are zero: the same documented divergence as
 // ScanParallel's clone-local stall accounting.
-func (a *artifact) scanDFA(r *dfa.Runner, input []byte) *ScanResult {
-	r.Reset()
-	sb := a.dfaPlan.StepBytes()
-	cycles := (len(input) + sb - 1) / sb
-	rows := rowMatches{a: a, n: int64(len(input))}
-	for c := 0; c < cycles; c++ {
-		start, end := c*sb, min((c+1)*sb, len(input))
-		rows.add(int64(c), r.Step(input[start:end], start+sb-end))
-	}
-	out := rows.result()
-	out.Stats.KernelCycles = int64(cycles)
-	out.PerPU = a.idlePerPU()
-	return out
+type executor struct {
+	e *Engine
+	// One substrate runs: the lane's machine (nfa route), its lazy-DFA
+	// runner (dfa route) or a fault guard over the engine's machine
+	// (guarded route, where close sets m to the guard's final machine).
+	m *core.Machine
+	r *dfa.Runner
+	g *faults.Guard
+	// step is the bytes one step consumes: one cycle, except on the nfa
+	// route at rate 1, where a byte is two one-nibble cycles. A step is 1
+	// or 2 bytes, so part holds at most one byte of an incomplete step.
+	step   int
+	part   [2]byte
+	npart  int
+	cycles int64
+	// vec is the unit vector of one step on the nfa route.
+	vec  [4]funcsim.Unit
+	rows rowMatches
 }
 
-// rowMatches assembles the emission rows of substrates that hand them out
-// per cycle — the lazy DFA and the fault guard — into a scan result. It
-// collects matches into doubling chunks, so a scan with millions of
-// matches never re-copies a growing slice; result then copies them once
-// into an exactly sized slice. Allocations grow with the log of the match
-// count, and nothing outlives the call that owns the collector.
+// newExecutor starts a run on lane l along route how, delivering matches
+// to onMatch, or collecting them in rows when onMatch is nil. The guarded
+// route runs on the engine's own machine whatever the lane: its recovery
+// may quarantine PUs, which replaces the engine's machine and placement.
+func (e *Engine) newExecutor(l *lane, how string, onMatch func(Match)) (*executor, error) {
+	x := &executor{e: e, rows: rowMatches{a: e.art, onMatch: onMatch}}
+	switch how {
+	case routeGuarded:
+		g, err := e.newGuard()
+		if err != nil {
+			return nil, err
+		}
+		g.OnReportCycle(x.rows.add)
+		x.g = g
+		return x, nil
+	case meta.BackendDFA:
+		x.r = l.dfaRunner(e.art)
+		x.r.Reset()
+		x.step = e.art.dfaPlan.StepBytes()
+	default:
+		// A run is sequential, so "parallel" runs on the machine like "nfa".
+		x.m = l.machine
+		x.m.Reset()
+		x.step = max(1, int(e.art.cycleUnits)/2)
+	}
+	return x, nil
+}
+
+// write runs p: every whole step, with an incomplete one carried in part.
+// Only the guarded route fails: its error is sticky, and the engine has
+// adopted the guard's machine and placement.
+func (x *executor) write(p []byte) error {
+	x.rows.n += int64(len(p))
+	if x.g != nil {
+		if err := x.g.Feed(funcsim.BytesToUnits(p, 4)); err != nil {
+			x.e.adoptGuard(x.g)
+			return err
+		}
+		return nil
+	}
+	if x.npart > 0 {
+		k := copy(x.part[x.npart:x.step], p)
+		x.npart += k
+		p = p[k:]
+		if x.npart < x.step {
+			return nil
+		}
+		x.run(x.part[:x.step])
+	}
+	whole := len(p) - len(p)%x.step
+	for off := 0; off < whole; off += x.step {
+		x.run(p[off : off+x.step])
+	}
+	x.npart = copy(x.part[:], p[whole:])
+	return nil
+}
+
+// run executes one step of b, padded when b is the short final step.
+func (x *executor) run(b []byte) {
+	if x.r != nil {
+		x.rows.add(x.cycles, x.r.Step(b, x.step-len(b)))
+		x.cycles++
+		return
+	}
+	n := 0
+	for _, c := range b {
+		x.vec[n], x.vec[n+1] = funcsim.Unit(c>>4), funcsim.Unit(c&0x0f)
+		n += 2
+	}
+	for ; n < 2*x.step; n++ {
+		x.vec[n] = funcsim.Pad
+	}
+	rate := int(x.e.art.cycleUnits)
+	for u := 0; u < n; u += rate {
+		x.rows.add(x.cycles, x.m.StepRow(x.vec[u:u+rate]))
+		x.cycles++
+	}
+}
+
+// close runs the final incomplete step, padded, and returns the run's
+// Stats. On the guarded route it finishes the guard, and the engine adopts
+// the guard's machine and placement; the error is the guard's.
+func (x *executor) close() (Stats, error) {
+	var err error
+	if x.g != nil {
+		err = x.g.Finish()
+		x.e.adoptGuard(x.g)
+		x.m = x.e.machine
+	} else if x.npart > 0 {
+		x.run(x.part[:x.npart])
+		x.npart = 0
+	}
+	st := x.rows.stats
+	if x.r != nil {
+		st.KernelCycles = x.cycles
+	} else {
+		st.KernelCycles, st.StallCycles, st.Flushes = x.m.KernelCycles(), x.m.StallCycles(), x.m.Flushes()
+	}
+	return st, err
+}
+
+// perPU is the closed run's per-PU breakdown.
+func (x *executor) perPU() []PUStats {
+	if x.r != nil {
+		return x.e.art.idlePerPU()
+	}
+	return toPUStats(x.m.PerPU())
+}
+
+// rowMatches is the sink of per-cycle emission rows: it counts them into
+// Reports/ReportCycles and turns them into matches, delivered to onMatch
+// (Stream) or, when onMatch is nil, collected into doubling chunks, so a
+// scan with millions of matches never re-copies a growing slice; matches
+// then copies them once into an exactly sized slice. Allocations grow with
+// the log of the match count, and nothing outlives the call that owns the
+// collector.
 type rowMatches struct {
 	a *artifact
-	// n is the input length: reports ending at or past byte n are pad-tail
-	// phantoms, counted in Reports but not matches.
-	n     int64
-	stats Stats
+	// n is the input length so far: reports ending at or past byte n are
+	// pad-tail phantoms, counted in Reports but not matches. Padding only
+	// ever completes the final cycle, so n is final whenever one is found.
+	n       int64
+	stats   Stats
+	onMatch func(Match)
 	// full holds the filled chunks; 40 doublings from 256 matches exceed
 	// any address space, so it never grows.
 	full  [40][]Match
@@ -134,8 +258,8 @@ type rowMatches struct {
 }
 
 // add accounts one cycle's emission row (empty when nothing reported) and
-// appends its matches. Rows ascend by position, so phantoms are a row's
-// suffix.
+// delivers or appends its matches. Rows ascend by position, so phantoms
+// are a row's suffix.
 func (b *rowMatches) add(cycle int64, row []automata.Report) {
 	if len(row) == 0 {
 		return
@@ -145,6 +269,12 @@ func (b *rowMatches) add(cycle int64, row []automata.Report) {
 	base := cycle * b.a.cycleUnits
 	for len(row) > 0 && bytePos(base+int64(row[len(row)-1].Offset)) >= b.n {
 		row = row[:len(row)-1]
+	}
+	if b.onMatch != nil {
+		for _, rep := range row {
+			b.onMatch(Match{Position: bytePos(base + int64(rep.Offset)), Code: rep.Code})
+		}
+		return
 	}
 	if cap(b.cur)-len(b.cur) < len(row) {
 		b.grow(len(row))
@@ -170,19 +300,16 @@ func (b *rowMatches) grow(need int) {
 	b.cur = make([]Match, 0, max(size, need))
 }
 
-// result returns the collected matches in order (nil when there are none)
-// with the report counts.
-func (b *rowMatches) result() *ScanResult {
-	out := &ScanResult{Stats: b.stats}
+// matches returns the collected matches in order, nil when there are none.
+func (b *rowMatches) matches() []Match {
 	if b.count+len(b.cur) == 0 {
-		return out
+		return nil
 	}
-	out.Matches = make([]Match, 0, b.count+len(b.cur))
+	out := make([]Match, 0, b.count+len(b.cur))
 	for _, c := range b.full[:b.nfull] {
-		out.Matches = append(out.Matches, c...)
+		out = append(out, c...)
 	}
-	out.Matches = append(out.Matches, b.cur...)
-	return out
+	return append(out, b.cur...)
 }
 
 // DFAStats reports the lazy-DFA backend's cache behaviour on this engine's

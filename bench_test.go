@@ -489,7 +489,7 @@ func BenchmarkEngineScanParallel(b *testing.B) {
 // report-dense input (Snort, about 1.8M matches per MB): the cost is
 // report emission and match assembly, not DFA stepping. MUST NOT REGRESS —
 // it guards the precomputed per-state emission rows and the one-copy match
-// assembly of scanDFA.
+// assembly of rowMatches on the sequential executor's dfa route.
 func BenchmarkScanDFADenseReports(b *testing.B) {
 	w := workload.MustGet("Snort", 0.02, 1<<18)
 	opts := DefaultOptions()

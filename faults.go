@@ -1,10 +1,6 @@
 package sunder
 
-import (
-	"sunder/internal/automata"
-	"sunder/internal/faults"
-	"sunder/internal/funcsim"
-)
+import "sunder/internal/faults"
 
 // FaultPolicy configures fault injection and recovery on the simulated
 // device. Sunder's subarrays hold configuration and report data in the same
@@ -126,35 +122,6 @@ func (e *Engine) newGuard() (*faults.Guard, error) {
 func (e *Engine) adoptGuard(g *faults.Guard) {
 	e.machine = g.Machine()
 	e.place = g.Placement()
-}
-
-// scanGuarded is Scan under an armed fault policy: input is executed in
-// checkpointed windows and matches are taken only from committed windows,
-// so the result of a recovered scan is identical to a fault-free one.
-func (e *Engine) scanGuarded(input []byte) (*ScanResult, error) {
-	g, err := e.newGuard()
-	if err != nil {
-		return nil, err
-	}
-	rows := rowMatches{a: e.art, n: int64(len(input))}
-	var row []automata.Report
-	g.OnReportCycle(func(cycle int64, states []automata.StateID) {
-		row = e.art.nibble.EmissionRow(row, states)
-		rows.add(cycle, row)
-	})
-	fstats, err := g.Run(funcsim.BytesToUnits(input, 4))
-	e.adoptGuard(g)
-	if err != nil {
-		return nil, err
-	}
-	out := rows.result()
-	m := e.machine
-	out.Stats.KernelCycles = m.KernelCycles()
-	out.Stats.StallCycles = m.StallCycles()
-	out.Stats.Flushes = m.Flushes()
-	out.PerPU = e.PerPU()
-	out.Faults = faultReport(fstats)
-	return out, nil
 }
 
 func faultReport(st faults.Stats) *FaultReport {

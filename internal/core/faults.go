@@ -74,9 +74,6 @@ func (m *Machine) AttachFaults(h FaultHook) {
 	m.flt = fs
 }
 
-// FaultsAttached reports whether a fault hook is attached.
-func (m *Machine) FaultsAttached() bool { return m.flt != nil }
-
 // FlipRowBit flips one stored bit of PU pu's match/report subarray — a
 // transient single-event upset in an 8T cell.
 func (m *Machine) FlipRowBit(pu, row, col int) {

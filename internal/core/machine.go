@@ -39,7 +39,7 @@ type Machine struct {
 	// noStartData suppresses start-of-data injection on cycle zero (see
 	// SuppressStartOfData); set on shard-worker clones replaying mid-stream.
 	noStartData bool
-	// scratch (ids and row are Run's reporting states and emission row)
+	// scratch (ids and row are StepRow's reporting states and emission row)
 	newActive []bitvec.V256
 	enables   []bitvec.V256
 	v8        []int8

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sunder/internal/automata"
 	"sunder/internal/funcsim"
 )
 
@@ -54,13 +55,12 @@ func (m *Machine) RunInto(res *Result, units []funcsim.Unit, opts RunOptions) {
 	rate := int64(m.cfg.Rate)
 	for off := 0; off < len(units); off += m.cfg.Rate {
 		cycle := m.kernelCycles
-		m.ids = m.Step(units[off:off+m.cfg.Rate], m.ids[:0])
-		if len(m.ids) == 0 {
+		row := m.StepRow(units[off : off+m.cfg.Rate])
+		if len(row) == 0 {
 			continue
 		}
-		m.row = m.a.EmissionRow(m.row, m.ids)
 		if opts.RecordEvents {
-			for _, r := range m.row {
+			for _, r := range row {
 				res.Events = append(res.Events, funcsim.ReportEvent{
 					Cycle:  cycle,
 					Unit:   cycle*rate + int64(r.Offset),
@@ -70,15 +70,31 @@ func (m *Machine) RunInto(res *Result, units []funcsim.Unit, opts RunOptions) {
 			}
 		}
 		res.ReportCycles++
-		res.Reports += int64(len(m.row))
-		res.MaxReportsPerCycle = max(res.MaxReportsPerCycle, len(m.row))
-		if m.tel != nil {
-			m.tel.reportCycles.Inc()
-			m.tel.reports.Add(int64(len(m.row)))
-		}
+		res.Reports += int64(len(row))
+		res.MaxReportsPerCycle = max(res.MaxReportsPerCycle, len(row))
 	}
 	res.KernelCycles = m.kernelCycles
 	res.StallCycles = m.stallCycles
 	res.Flushes = m.Flushes()
 	res.Summaries = m.Summaries()
+}
+
+// StepRow is the device step of every run that emits reports: it executes
+// one cycle like Step and returns the cycle's automata.EmissionRow (nil
+// when nothing reported) — the one entry the device writes in place for
+// the cycle — counting it in device_reports and device_report_cycles when
+// telemetry is attached. The row is owned by the machine: read it before
+// the next StepRow. Step itself counts no reports: warm-up replay emits
+// nothing, and the fault guard counts its rows when their window commits.
+func (m *Machine) StepRow(vec []funcsim.Unit) []automata.Report {
+	m.ids = m.Step(vec, m.ids[:0])
+	if len(m.ids) == 0 {
+		return nil
+	}
+	m.row = m.a.EmissionRow(m.row, m.ids)
+	if m.tel != nil {
+		m.tel.reportCycles.Inc()
+		m.tel.reports.Add(int64(len(m.row)))
+	}
+	return m.row
 }

@@ -160,13 +160,6 @@ func NewPlan(a *automata.UnitAutomaton, classOf [256]uint16, classes int) (*Plan
 // StepBytes returns the number of input bytes one cycle consumes.
 func (p *Plan) StepBytes() int { return p.stepBytes }
 
-// Classes returns the symbol-class count compressing the transition rows.
-func (p *Plan) Classes() int { return p.classes }
-
-// RowSize returns the transition cells per cached DFA state
-// (Classes^StepBytes).
-func (p *Plan) RowSize() int { return p.rowSize }
-
 func pow(base, exp int) int {
 	out := 1
 	for i := 0; i < exp; i++ {

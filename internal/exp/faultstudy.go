@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -38,31 +39,23 @@ type FaultStudyRow struct {
 	OutputOK bool
 }
 
-// faultRef is one recorded report cycle: the cycle index and the sorted
-// reporting states.
+// faultRef is one report: the input unit it ends on and its logical
+// report point — the report's identity — plus its code.
 type faultRef struct {
-	cycle  int64
-	states []automata.StateID
+	unit   int64
+	origin int32
+	code   int32
 }
 
-func recordReports(dst *[]faultRef) func(int64, []automata.StateID) {
-	return func(cycle int64, states []automata.StateID) {
-		cp := append([]automata.StateID(nil), states...)
-		slices.Sort(cp)
-		*dst = append(*dst, faultRef{cycle: cycle, states: cp})
-	}
+func compareRefs(x, y faultRef) int {
+	return cmp.Or(cmp.Compare(x.unit, y.unit), cmp.Compare(x.origin, y.origin))
 }
 
+// sameRefs compares two report lists as sets, both sorted by identity.
 func sameRefs(a, b []faultRef) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].cycle != b[i].cycle || !slices.Equal(a[i].states, b[i].states) {
-			return false
-		}
-	}
-	return true
+	slices.SortFunc(a, compareRefs)
+	slices.SortFunc(b, compareRefs)
+	return slices.Equal(a, b)
 }
 
 // FaultRun executes one workload under the given fault policy and checks
@@ -89,8 +82,12 @@ func FaultRun(w *workload.Workload, rate int, cfg core.Config, pol faults.Policy
 	}
 
 	units := funcsim.BytesToUnits(w.Input, 4)
+	// The functional simulator's events are deduplicated per cycle by
+	// (offset, origin), like the guard's emission rows.
 	var want []faultRef
-	funcsim.NewUnitSimulator(ua).Run(units, funcsim.Options{OnReportCycle: recordReports(&want)})
+	for _, ev := range funcsim.RunUnits(ua, units).Events {
+		want = append(want, faultRef{unit: ev.Unit, origin: ev.Origin, code: ev.Code})
+	}
 
 	g, err := faults.NewGuard(mach, ua, place, pol, nil)
 	if err != nil {
@@ -100,7 +97,11 @@ func FaultRun(w *workload.Workload, rate int, cfg core.Config, pol faults.Policy
 		g.AttachTelemetry(tel)
 	}
 	var got []faultRef
-	g.OnReportCycle(recordReports(&got))
+	g.OnReportCycle(func(cycle int64, row []automata.Report) {
+		for _, r := range row {
+			got = append(got, faultRef{unit: cycle*int64(rate) + int64(r.Offset), origin: r.Origin, code: r.Code})
+		}
+	})
 	stats, err := g.Run(units)
 	if err != nil {
 		return row, fmt.Errorf("%s: guarded run: %w", w.Spec.Name, err)

@@ -1,7 +1,8 @@
 package faults
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,56 +38,58 @@ func build(t *testing.T, patterns []regex.Pattern, cfg core.Config) (*core.Machi
 	return m, ua, place
 }
 
-// repRec is one committed report cycle, states sorted.
-type repRec struct {
-	cycle  int64
-	states []automata.StateID
-}
-
-func record(dst *[]repRec) func(int64, []automata.StateID) {
-	return func(cycle int64, states []automata.StateID) {
-		s := append([]automata.StateID(nil), states...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		*dst = append(*dst, repRec{cycle: cycle, states: s})
+// record collects the guard's committed emission rows as report events
+// (State unset: one row entry may stand for several strided states).
+func record(dst *[]funcsim.ReportEvent, rate int) func(int64, []automata.Report) {
+	return func(cycle int64, row []automata.Report) {
+		for _, r := range row {
+			*dst = append(*dst, funcsim.ReportEvent{
+				Cycle: cycle, Unit: cycle*int64(rate) + int64(r.Offset), Code: r.Code, Origin: r.Origin,
+			})
+		}
 	}
 }
 
 // reference runs the functional simulator over the same (guard-padded)
-// units — the fault-free ground truth a recovered run must reproduce.
-func reference(ua *automata.UnitAutomaton, units []funcsim.Unit) []repRec {
-	var out []repRec
-	funcsim.NewUnitSimulator(ua).Run(units, funcsim.Options{OnReportCycle: record(&out)})
-	return out
+// units — the fault-free ground truth a recovered run must reproduce. Its
+// events are deduplicated per cycle by (offset, origin), like a row.
+func reference(ua *automata.UnitAutomaton, units []funcsim.Unit) []funcsim.ReportEvent {
+	ev := funcsim.RunUnits(ua, units).Events
+	for i := range ev {
+		ev[i].State = 0
+	}
+	return ev
 }
 
-func sameReports(t *testing.T, got, want []repRec) {
+// sameReports compares committed and reference reports as sets: (Unit,
+// Origin) identifies a report, so sorting by it makes the orders agree.
+func sameReports(t *testing.T, got, want []funcsim.ReportEvent) {
 	t.Helper()
+	byUnit := func(x, y funcsim.ReportEvent) int {
+		return cmp.Or(cmp.Compare(x.Unit, y.Unit), cmp.Compare(x.Origin, y.Origin))
+	}
+	slices.SortFunc(got, byUnit)
+	slices.SortFunc(want, byUnit)
 	if len(got) != len(want) {
-		t.Fatalf("report cycles: got %d, want %d", len(got), len(want))
+		t.Fatalf("reports: got %d, want %d", len(got), len(want))
 	}
 	for i := range got {
-		if got[i].cycle != want[i].cycle || len(got[i].states) != len(want[i].states) {
-			t.Fatalf("report %d: got cycle %d states %v, want cycle %d states %v",
-				i, got[i].cycle, got[i].states, want[i].cycle, want[i].states)
-		}
-		for j := range got[i].states {
-			if got[i].states[j] != want[i].states[j] {
-				t.Fatalf("report %d state %d: got %v, want %v", i, j, got[i].states, want[i].states)
-			}
+		if got[i] != want[i] {
+			t.Fatalf("report %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
 
 // run executes one guarded run and returns the stats and committed reports.
-func run(t *testing.T, patterns []regex.Pattern, cfg core.Config, pol Policy, inj *Injector, input []byte) (Stats, []repRec, []repRec, error) {
+func run(t *testing.T, patterns []regex.Pattern, cfg core.Config, pol Policy, inj *Injector, input []byte) (Stats, []funcsim.ReportEvent, []funcsim.ReportEvent, error) {
 	t.Helper()
 	m, ua, place := build(t, patterns, cfg)
 	g, err := NewGuard(m, ua, place, pol, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []repRec
-	g.OnReportCycle(record(&got))
+	var got []funcsim.ReportEvent
+	g.OnReportCycle(record(&got, cfg.Rate))
 	units := funcsim.PadUnits(funcsim.BytesToUnits(input, 4), cfg.Rate)
 	stats, err := g.Run(units)
 	return stats, got, reference(ua, units), err
@@ -273,8 +276,8 @@ func TestStuckXbarQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []repRec
-	g.OnReportCycle(record(&got))
+	var got []funcsim.ReportEvent
+	g.OnReportCycle(record(&got, 1))
 	units := funcsim.PadUnits(funcsim.BytesToUnits(input, 4), 1)
 	stats, err := g.Run(units)
 	if err != nil {
@@ -440,5 +443,14 @@ func TestGuardTelemetry(t *testing.T) {
 	}
 	if n := col.Counter(MetricQuarantined).Load(); n != 0 {
 		t.Errorf("%s = %d, want 0", MetricQuarantined, n)
+	}
+	// Rows are counted once, at commit: the rolled-back first window's
+	// reports are not counted again on its re-execution.
+	want := funcsim.RunUnits(ua, units)
+	if n := col.Counter(core.MetricReports).Load(); n != want.Reports || n == 0 {
+		t.Errorf("%s = %d, want %d", core.MetricReports, n, want.Reports)
+	}
+	if n := col.Counter(core.MetricReportCycles).Load(); n != want.ReportCycles {
+		t.Errorf("%s = %d, want %d", core.MetricReportCycles, n, want.ReportCycles)
 	}
 }

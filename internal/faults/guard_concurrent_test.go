@@ -28,8 +28,8 @@ func TestGuardRejectsConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []repRec
-	g.OnReportCycle(record(&got))
+	var got []funcsim.ReportEvent
+	g.OnReportCycle(record(&got, cfg.Rate))
 	units := funcsim.PadUnits(funcsim.BytesToUnits([]byte(strings.Repeat("xabbcy", 50)), 4), cfg.Rate)
 
 	g.busy.Store(true) // another call is "executing"

@@ -640,6 +640,16 @@ func TestServerRunGracefulShutdown(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
+	// The handler checks for the drain between chunks, so the next chunk
+	// must arrive after Run has begun draining; written earlier, it is
+	// consumed and the handler blocks reading a body that never ends.
+	deadline = time.Now().Add(5 * time.Second)
+	for !s.Draining() {
+		if time.Now().After(deadline) {
+			t.Fatal("server never started draining")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	pw.Write(input) // pass a chunk boundary so the drain is observed
 	events := <-streamDone
 	if len(events) == 0 {

@@ -57,7 +57,7 @@ func (e *Engine) ScanParallel(input []byte, opts ScanOptions) (*ScanResult, erro
 	}
 	switch how {
 	case routeGuarded:
-		return e.scanGuarded(input)
+		return e.scanOn(&e.lane, input, how)
 	case routePrefilter:
 		return e.scanPrefiltered(input, opts.workers()), nil
 	case meta.BackendDFA:
@@ -97,7 +97,7 @@ func (e *Engine) ScanBatch(inputs [][]byte, opts ScanOptions) ([]*ScanResult, er
 	results := make([]*ScanResult, len(inputs))
 	if how == routeGuarded {
 		for i, in := range inputs {
-			if results[i], err = e.scanGuarded(in); err != nil {
+			if results[i], err = e.scanOn(&e.lane, in, how); err != nil {
 				return nil, err
 			}
 		}

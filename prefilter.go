@@ -222,7 +222,8 @@ func (e *Engine) scanPrefiltered(input []byte, workers int) *ScanResult {
 	return out
 }
 
-// PrefilterInfo describes the compiled prefilter for diagnostics.
+// describe returns the compiled prefilter's strategy and literals for
+// Info: "off", or "off (<reason>)" when the filter disabled itself.
 func (p *prefilterPlan) describe() (strategy string, literals []string) {
 	if p == nil {
 		return "off", nil

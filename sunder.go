@@ -35,7 +35,6 @@ import (
 	"sunder/internal/core"
 	"sunder/internal/dfa"
 	"sunder/internal/faults"
-	"sunder/internal/funcsim"
 	"sunder/internal/hardware"
 	"sunder/internal/mapping"
 	"sunder/internal/meta"
@@ -387,28 +386,39 @@ func (e *Engine) route(override string) (string, error) {
 	return backend, nil
 }
 
-// scanOn is Scan's sequential body on lane l along route how. The
+// scanOn is Scan's sequential body on lane l along route how: the
 // prefilter and the "parallel" backend run on clones of the pristine
-// compile artifact and leave the lane alone.
+// compile artifact and leave the lane alone; every other route is one
+// write of the whole input to an executor, then close.
 func (e *Engine) scanOn(l *lane, input []byte, how string) (*ScanResult, error) {
 	switch how {
-	case routeGuarded:
-		return e.scanGuarded(input)
 	case routePrefilter:
 		return e.scanPrefiltered(input, 1), nil
-	case meta.BackendDFA:
-		return e.art.scanDFA(l.dfaRunner(e.art), input), nil
 	case meta.BackendParallel:
 		return e.scanSharded(input, runtime.GOMAXPROCS(0)), nil
 	}
-	l.machine.Reset()
-	r := l.machine.Run(funcsim.BytesToUnits(input, 4), core.RunOptions{RecordEvents: true})
-	return e.art.result(r, len(input), toPUStats(l.machine.PerPU())), nil
+	x, err := e.newExecutor(l, how, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := x.write(input); err != nil {
+		return nil, err
+	}
+	stats, err := x.close()
+	if err != nil {
+		return nil, err
+	}
+	out := &ScanResult{Matches: x.rows.matches(), Stats: stats, PerPU: x.perPU()}
+	if x.g != nil {
+		out.Faults = faultReport(x.g.Stats())
+	}
+	return out, nil
 }
 
-// result is the one assembler of device-run results: r's Stats, and its
-// events as matches in event order, which is ascending (Position, Code)
-// because every reporting cycle contributes one emission row. Events
+// result is the one assembler of sharded and windowed device runs: r's
+// Stats, and its events as matches in event order, which is ascending
+// (Position, Code) because every reporting cycle contributes one emission
+// row. Events
 // ending at or past byte n are pad-tail phantoms (a Pad unit satisfies
 // any-symbol positions like `.`); they count in Reports but are not
 // matches, and, the order being by position, they are the events' suffix.

@@ -37,6 +37,13 @@ type TelemetryOptions struct {
 // device_reports and device_report_cycles equal the sequential totals
 // exactly, while the stall/flush/occupancy instruments reflect per-shard
 // region state (see ScanParallel).
+//
+// device_reports and device_report_cycles advance by exactly the
+// Stats.Reports and Stats.ReportCycles of every entry point that steps the
+// device: Scan, ScanBatch, ScanParallel and Stream, prefiltered or not,
+// and under a fault policy, where a checkpoint window's reports count when
+// it commits (a rolled-back window never counts). The "dfa" backend steps
+// no device and leaves them unchanged.
 type Telemetry struct {
 	col *telemetry.Collector
 }

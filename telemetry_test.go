@@ -3,6 +3,7 @@ package sunder
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -77,32 +78,97 @@ func TestTelemetryMetricsAndTrace(t *testing.T) {
 	}
 
 	// Aggregate lines must agree with ScanResult.Stats.
-	wantLines := map[string]int64{
+	checkAggregates(t, "Scan", out, map[string]int64{
 		"device_kernel_cycles":  res.Stats.KernelCycles,
 		"device_stall_cycles":   res.Stats.StallCycles,
 		"device_reports":        res.Stats.Reports,
 		"device_report_cycles":  res.Stats.ReportCycles,
 		"pu_flushes_total":      res.Stats.Flushes,
 		"pu_stall_cycles_total": res.Stats.StallCycles,
-	}
-	for _, line := range strings.Split(out, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
+	})
+
+	// Every entry point that steps the device counts each emission row
+	// once: device_reports and device_report_cycles equal the Stats it
+	// returns — sharded, windowed, streamed in any chunking, and guarded
+	// (rows counted when their window commits).
+	pats := []Pattern{{Expr: `needle`, Code: 1}, {Expr: `abab`, Code: 2}, {Expr: `ab`, Code: 3}, {Expr: `xyz{1,2}y`, Code: 4}}
+	in := streamInput(8192, rand.New(rand.NewSource(7)))
+	stream := func(chunk int) func(*Engine) (Stats, error) {
+		return func(eng *Engine) (Stats, error) {
+			_, st := feedAndClose(t, eng, in, func(int) int { return chunk })
+			return st, nil
 		}
-		if want, ok := wantLines[fields[0]]; ok {
-			got, err := strconv.ParseInt(fields[1], 10, 64)
+	}
+	scan := func(eng *Engine) (Stats, error) {
+		r, err := eng.Scan(in)
+		if err != nil {
+			return Stats{}, err
+		}
+		return r.Stats, nil
+	}
+	prefiltered := DefaultOptions()
+	prefiltered.Prefilter = PrefilterOn
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		guarded bool
+		run     func(*Engine) (Stats, error)
+	}{
+		{name: "Scan", run: scan},
+		{name: "ScanBatch", run: func(eng *Engine) (Stats, error) {
+			rs, err := eng.ScanBatch([][]byte{in, in[:5000]}, ScanOptions{Workers: 2})
 			if err != nil {
-				t.Fatalf("bad metric line %q", line)
+				return Stats{}, err
 			}
-			if got != want {
-				t.Errorf("%s = %d, want %d", fields[0], got, want)
+			st := rs[0].Stats
+			st.Reports += rs[1].Stats.Reports
+			st.ReportCycles += rs[1].Stats.ReportCycles
+			return st, nil
+		}},
+		{name: "ScanParallel", run: func(eng *Engine) (Stats, error) {
+			r, err := eng.ScanParallel(in, ScanOptions{Workers: 2})
+			if err != nil {
+				return Stats{}, err
 			}
-			delete(wantLines, fields[0])
+			return r.Stats, nil
+		}},
+		{name: "Stream/1", run: stream(1)},
+		{name: "Stream/1460", run: stream(1460)},
+		{name: "prefilter/Scan", opts: prefiltered, run: scan},
+		{name: "prefilter/Stream", opts: prefiltered, run: stream(1460)},
+		{name: "guarded/Scan", guarded: true, run: scan},
+		{name: "guarded/Stream", guarded: true, run: stream(1460)},
+	} {
+		if tc.opts == (Options{}) {
+			tc.opts = DefaultOptions()
 		}
-	}
-	if len(wantLines) != 0 {
-		t.Errorf("metrics dump missing aggregate lines: %v", wantLines)
+		eng, err := Compile(pats, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.guarded {
+			pol := DefaultFaultPolicy()
+			if err := eng.SetFaultPolicy(&pol); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tel := NewTelemetry(TelemetryOptions{})
+		eng.SetTelemetry(tel)
+		st, err := tc.run(eng)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st.Reports == 0 || (tc.opts.Prefilter == PrefilterOn && st.SkippedCycles == 0) {
+			t.Fatalf("%s: route not exercised: %+v", tc.name, st)
+		}
+		var buf bytes.Buffer
+		if err := tel.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		checkAggregates(t, tc.name, buf.String(), map[string]int64{
+			"device_reports":       st.Reports,
+			"device_report_cycles": st.ReportCycles,
+		})
 	}
 
 	// The Chrome trace must be valid JSON with flush and report events
@@ -159,6 +225,31 @@ func TestTelemetryMetricsAndTrace(t *testing.T) {
 	}
 	if metrics2.String() != out {
 		t.Error("second identical scan after Reset produced different metrics")
+	}
+}
+
+// checkAggregates requires each named aggregate line of a metrics dump to
+// read its wanted value.
+func checkAggregates(t *testing.T, name, dump string, want map[string]int64) {
+	t.Helper()
+	for _, line := range strings.Split(dump, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			continue
+		}
+		if w, ok := want[fields[0]]; ok {
+			got, err := strconv.ParseInt(fields[1], 10, 64)
+			if err != nil {
+				t.Fatalf("%s: bad metric line %q", name, line)
+			}
+			if got != w {
+				t.Errorf("%s: %s = %d, want %d", name, fields[0], got, w)
+			}
+			delete(want, fields[0])
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("%s: metrics dump missing aggregate lines: %v", name, want)
 	}
 }
 
