@@ -1,6 +1,7 @@
 package sunder
 
 import (
+	"runtime"
 	"testing"
 
 	"sunder/internal/workload"
@@ -180,6 +181,7 @@ func TestDFAStreamWriteZeroAlloc(t *testing.T) {
 	if matches == 0 {
 		t.Fatal("the pinned write must deliver matches")
 	}
+	perWrite := uint64(matches / 8)
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := st.Write(w.Input); err != nil {
 			t.Fatal(err)
@@ -187,6 +189,36 @@ func TestDFAStreamWriteZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm dfa Stream.Write allocates %v per call, want 0", allocs)
+	}
+
+	// A stats-only stream discards its matches as they occur: holding
+	// them would take 16 bytes a match for the life of the stream, in
+	// chunks too few to show in the rounded per-call count.
+	st.Close()
+	quiet, err := eng.NewStream(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func() {
+		if _, err := quiet.Write(w.Input); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write()
+	if allocs = testing.AllocsPerRun(100, write); allocs != 0 {
+		t.Fatalf("warm dfa Stream.Write with a nil callback allocates %v per call, want 0", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		write()
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 100*perWrite*16/2 {
+		t.Fatalf("100 warm writes with a nil callback allocated %d bytes, about %d matches' worth", grown, grown/16)
+	}
+	if quiet.Close().Reports == 0 {
+		t.Fatal("the stats-only stream must still count its reports")
 	}
 }
 
